@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
 
 	"hbmrd/internal/pattern"
@@ -711,11 +713,32 @@ func EncodeColumnar(w io.Writer, h SweepHeader, records any) error {
 	return err
 }
 
+// readArtifact reads a whole artifact. When the reader can Stat (the store
+// hands over an *os.File), the buffer is sized from the file once, as
+// os.ReadFile does, instead of growing by doubling as io.ReadAll does.
+func readArtifact(rd io.Reader) ([]byte, error) {
+	f, ok := rd.(interface{ Stat() (fs.FileInfo, error) })
+	if !ok {
+		return io.ReadAll(rd)
+	}
+	var buf bytes.Buffer
+	if fi, err := f.Stat(); err == nil {
+		if n := fi.Size(); n > 0 && int64(int(n)) == n {
+			// MinRead spare bytes let ReadFrom observe EOF without growing.
+			buf.Grow(int(n) + bytes.MinRead)
+		}
+	}
+	if _, err := buf.ReadFrom(rd); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
 // DecodeColumnar parses a columnar artifact back into its column set.
 // Call Records on the result to rebuild the typed record slice; feeding
 // that to EncodeRecords reproduces the original JSONL byte for byte.
 func DecodeColumnar(rd io.Reader) (*ColumnSet, error) {
-	b, err := io.ReadAll(rd)
+	b, err := readArtifact(rd)
 	if err != nil {
 		return nil, err
 	}

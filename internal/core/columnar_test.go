@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -173,6 +175,10 @@ func TestColumnarRejectsMalformed(t *testing.T) {
 		if _, err := DecodeColumnar(bytes.NewReader(data)); err == nil {
 			t.Errorf("%s artifact decoded without error", name)
 		}
+		// A file (what the store hands over) takes the Stat-sized read.
+		if _, err := DecodeColumnar(artifactFile(t, data)); err == nil {
+			t.Errorf("%s artifact decoded from a file without error", name)
+		}
 	}
 
 	// A kind/schema mismatch inside an otherwise valid artifact is
@@ -181,8 +187,31 @@ func TestColumnarRejectsMalformed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fromFile, err := DecodeColumnar(artifactFile(t, good))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fromFile, cs) {
+		t.Error("artifact decoded from a file differs from the in-memory decode")
+	}
 	cs.Header.Kind = string(KindBER)
 	if _, err := cs.Records(); err == nil {
 		t.Error("kind/schema mismatch produced records")
 	}
+}
+
+// artifactFile writes data to a temporary file and returns it open for
+// reading.
+func artifactFile(t *testing.T, data []byte) *os.File {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "results.hbmc")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	return f
 }

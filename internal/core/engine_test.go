@@ -46,14 +46,16 @@ func TestSweepDeterministicAcrossJobs(t *testing.T) {
 	}
 }
 
-// cancelSink cancels a context after a fixed number of completed cells.
+// cancelSink cancels a context after a fixed number of completed cells
+// (after) or of emitted records (afterRecords), whichever is set.
 type cancelSink struct {
-	cancel   context.CancelFunc
-	after    int
-	seen     int
-	total    int
-	finished error
-	records  []any
+	cancel       context.CancelFunc
+	after        int
+	afterRecords int
+	seen         int
+	total        int
+	finished     error
+	records      []any
 }
 
 func (s *cancelSink) Start(total int) { s.total = total }
@@ -63,7 +65,12 @@ func (s *cancelSink) Progress(done, total int) {
 		s.cancel()
 	}
 }
-func (s *cancelSink) Record(rec any)   { s.records = append(s.records, rec) }
+func (s *cancelSink) Record(rec any) {
+	s.records = append(s.records, rec)
+	if len(s.records) == s.afterRecords {
+		s.cancel()
+	}
+}
 func (s *cancelSink) Finish(err error) { s.finished = err }
 
 // TestSweepCancellation: a cancelled sweep returns ctx.Err() promptly

@@ -26,9 +26,10 @@ func resumeBERConfig() BERConfig {
 	}
 }
 
-// runToFile executes one sweep into path with a file sink, returning the
-// records. A nil cancelAfter runs to completion.
-func runBERToFile(t *testing.T, path string, cfg BERConfig, jobs int, cancelAfter int) ([]BERRecord, error) {
+// runBERToFile executes one sweep into path with a file sink, returning
+// the records. A positive cancelAfterRecords cancels the run once the
+// file sink has received that many records; 0 runs to completion.
+func runBERToFile(t *testing.T, path string, cfg BERConfig, jobs int, cancelAfterRecords int) ([]BERRecord, error) {
 	t.Helper()
 	f, err := os.Create(path)
 	if err != nil {
@@ -37,11 +38,11 @@ func runBERToFile(t *testing.T, path string, cfg BERConfig, jobs int, cancelAfte
 	defer f.Close()
 	ctx := context.Background()
 	sink := Sink(NewJSONLFileSink(f))
-	if cancelAfter > 0 {
+	if cancelAfterRecords > 0 {
 		cctx, cancel := context.WithCancel(ctx)
 		defer cancel()
 		ctx = cctx
-		sink = MultiSink(sink, &cancelSink{cancel: cancel, after: cancelAfter})
+		sink = MultiSink(sink, &cancelSink{cancel: cancel, afterRecords: cancelAfterRecords})
 	}
 	return RunBERContext(ctx, smallFleet(t, 0), cfg, WithJobs(jobs), WithSink(sink))
 }
@@ -116,7 +117,11 @@ func TestSweepResumeByteIdentity(t *testing.T) {
 
 // TestSweepCancelThenResumeFile is the end-to-end flow the CLI performs:
 // a sweep cancelled mid-run leaves a valid prefix; resuming that file
-// completes it byte-identically.
+// completes it byte-identically. The cancel fires once the first cell's
+// records (two patterns plus WCDP) reached the file: records stream in
+// plan order, so the prefix is never empty however the workers race,
+// and cell 1 runs after cell 0 on the same worker, so the run stops
+// short of the full plan.
 func TestSweepCancelThenResumeFile(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
@@ -132,7 +137,8 @@ func TestSweepCancelThenResumeFile(t *testing.T) {
 	}
 
 	partPath := filepath.Join(dir, "part.jsonl")
-	if _, err := runBERToFile(t, partPath, cfg, 2, 3); !errors.Is(err, context.Canceled) {
+	recordsPerCell := len(cfg.Patterns) + 1
+	if _, err := runBERToFile(t, partPath, cfg, 2, recordsPerCell); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	part, err := os.ReadFile(partPath)

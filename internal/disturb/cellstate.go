@@ -3,6 +3,8 @@ package disturb
 import (
 	"math"
 	"sync"
+
+	"hbmrd/internal/stats"
 )
 
 // This file implements the model's per-row state cache: the derived
@@ -14,6 +16,16 @@ import (
 // arrays sit behind a per-model byte budget with LRU eviction (the tiny
 // per-row calibration stays cached forever, exactly like the old
 // map[RowLoc]rowCalib).
+//
+// A row's state is built in stages, each only when a call needs it. The
+// entry (seed, trial-jitter spread) exists from the first touch. The
+// calibration terms that do not depend on the row's weakest cell
+// (computeBase), the pattern jitter and the largest word factor are all a
+// hammer-only FlipMask needs to apply the row-level skip bound
+// (belowFlipBound); most calls on aggressor rows stop there. The cell
+// arrays, and with them the minU anchor that completes the calibration
+// (anchor), are built in one pass when a call can flip a cell, or when a
+// caller needs the full calibration (the scalar path, ColFlipMask).
 //
 // Determinism contract: the per-cell hash stream (splitmix64 of
 // rowSeed + cellIndex*cellStride, plus the documented salts) is the spec.
@@ -60,11 +72,10 @@ type cellArrays struct {
 	// the call's effective-probability ceiling.
 	wordMinU []float64
 	// orient is the orientation bitmask (bit set = true cell, stores
-	// charge for logical 1). Built lazily because the true-cell fraction
-	// comes from the row's calibration; it never depends on temperature or
-	// age, so it survives calibration invalidation.
-	orient   []uint64
-	orientOK bool
+	// charge for logical 1). The true-cell fraction depends only on the
+	// chip seed and the row's die, so the mask is cut in the same pass
+	// that draws h.
+	orient []uint64
 	// retMinU is the per-word minimum retention uniform, built lazily on
 	// the first retention-active evaluation of the row.
 	retMinU []float64
@@ -90,9 +101,17 @@ type rowEntry struct {
 	haveMinU bool
 
 	calib rowCalib
-	// calibGen is model.gen+1 when calib is valid for the model's current
-	// temperature/age generation; 0 means never computed.
-	calibGen uint64
+	// baseGen is model.gen+1 when calib's minU-free terms (computeBase)
+	// are valid for the model's current temperature/age generation, and
+	// calibGen when the anchored curve is too; 0 means never computed.
+	baseGen, calibGen uint64
+
+	// Terms of the row-level skip bound that no generation changes: the
+	// bound's word factor max(1, max wf), and the pattern jitter of the
+	// last victim fill byte seen (both positive once computed, 0 before).
+	boundWF float64
+	patJit  float64
+	patByte byte
 
 	cells      *cellArrays
 	prev, next *rowEntry // LRU links, meaningful only while cells != nil
@@ -192,9 +211,9 @@ func (m *Model) lockEntry(loc RowLoc) (*calibShard, *rowEntry) {
 }
 
 // ensureCellsLocked materializes (or LRU-refreshes) the row's cell
-// arrays: one pass over the per-cell hash stream filling h, the per-word
-// minima, and the word-cluster factors. Also derives the row's minU
-// anchor the first time.
+// arrays: one pass over the per-cell hash stream filling h, the
+// orientation mask and the per-word minima, then the word-cluster
+// factors. Also derives the row's minU anchor the first time.
 func (m *Model) ensureCellsLocked(s *calibShard, e *rowEntry) *cellArrays {
 	if e.cells != nil {
 		s.lruTouch(e)
@@ -205,15 +224,20 @@ func (m *Model) ensureCellsLocked(s *calibShard, e *rowEntry) *cellArrays {
 		h:        make([]uint64, m.rowBits),
 		wf:       make([]float64, words),
 		wordMinU: make([]float64, words),
+		orient:   make([]uint64, words),
 		bytes:    int64(m.rowBits)*8 + int64(words)*8*4,
 	}
 	for w := range ca.wordMinU {
 		ca.wordMinU[w] = 1
 	}
+	cut := uint64(m.pTrueOf(dieOfN(e.loc.Channel, m.org.Channels)) * (1 << 11))
 	minU := 1.0
 	for idx := 0; idx < m.rowBits; idx++ {
 		h := splitmix64(e.rowSeed + uint64(idx)*cellStride)
 		ca.h[idx] = h
+		// Branch-free h&0x7FF < cut: the difference wraps to a set top
+		// bit exactly when the cell is a true cell.
+		ca.orient[idx>>6] |= (h&0x7FF - cut) >> 63 << (uint(idx) & 63)
 		u := (float64(h>>11) + 0.5) / (1 << 53)
 		if u < ca.wordMinU[idx>>6] {
 			ca.wordMinU[idx>>6] = u
@@ -222,8 +246,9 @@ func (m *Model) ensureCellsLocked(s *calibShard, e *rowEntry) *cellArrays {
 			minU = u
 		}
 	}
+	wordSeed := hashN(e.rowSeed, saltWord) // hashN(rowSeed, saltWord, w) = mix(wordSeed, w)
 	for w := 0; w < words; w++ {
-		wf := math.Exp(wordClusterSigma*normal(hashN(e.rowSeed, saltWord, uint64(w))) - wordClusterSigma*wordClusterSigma/2)
+		wf := wordFactor(mix(wordSeed, uint64(w)))
 		ca.wf[w] = wf
 		if wf > ca.maxWF {
 			ca.maxWF = wf
@@ -242,6 +267,17 @@ func (m *Model) ensureCellsLocked(s *calibShard, e *rowEntry) *cellArrays {
 	return ca
 }
 
+// ensureBaseLocked returns the row's minU-free calibration terms for the
+// model's current temperature/age generation. They need no cell state, so
+// the row-level skip bound can run on a row whose cells were never built.
+func (m *Model) ensureBaseLocked(e *rowEntry) *rowCalib {
+	if e.baseGen != m.gen+1 {
+		e.calib = m.computeBase(e.loc, e.rowSeed)
+		e.baseGen = m.gen + 1
+	}
+	return &e.calib
+}
+
 // ensureCalibLocked returns the row's calibration for the model's current
 // temperature/age generation, recomputing it from the cached minU anchor
 // when stale. The full-row scan is only ever paid once per row (inside
@@ -250,31 +286,13 @@ func (m *Model) ensureCalibLocked(s *calibShard, e *rowEntry) rowCalib {
 	if e.calibGen == m.gen+1 {
 		return e.calib
 	}
+	base := *m.ensureBaseLocked(e)
 	if !e.haveMinU {
 		m.ensureCellsLocked(s, e)
 	}
-	e.calib = m.computeCalib(e.loc, e.rowSeed, e.minU)
+	e.calib = m.anchor(base, e.minU)
 	e.calibGen = m.gen + 1
 	return e.calib
-}
-
-// ensureOrientLocked builds the orientation bitmask from the cached hash
-// draws. The true-cell cut depends only on the chip seed and the row's
-// die (never on temperature or age), so the mask is built at most once
-// per cellArrays.
-func ensureOrientLocked(ca *cellArrays, rc rowCalib) {
-	if ca.orientOK {
-		return
-	}
-	cut := uint64(rc.pTrue * (1 << 11))
-	orient := make([]uint64, len(ca.wordMinU))
-	for idx, h := range ca.h {
-		if h&0x7FF < cut {
-			orient[idx>>6] |= 1 << (uint(idx) & 63)
-		}
-	}
-	ca.orient = orient
-	ca.orientOK = true
 }
 
 // ensureRetMinsLocked builds the per-word minimum retention uniforms,
@@ -297,19 +315,93 @@ func ensureRetMinsLocked(ca *cellArrays) {
 	ca.retOK = true
 }
 
-// prepareRow returns everything FlipMask's fast path needs in one trip
-// through the shard lock: a current calibration and the row's immutable
-// cell arrays (with orientation, and retention minima when needed).
-func (m *Model) prepareRow(loc RowLoc, needRet bool) (rowCalib, *cellArrays) {
+// prepareRow returns everything ColFlipMask needs in one trip through the
+// shard lock: a current calibration and the row's immutable cell arrays.
+func (m *Model) prepareRow(loc RowLoc) (rowCalib, *cellArrays) {
 	s, e := m.lockEntry(loc)
 	ca := m.ensureCellsLocked(s, e)
 	rc := m.ensureCalibLocked(s, e)
-	ensureOrientLocked(ca, rc)
-	if needRet {
-		ensureRetMinsLocked(ca)
-	}
 	s.mu.Unlock()
 	return rc, ca
+}
+
+// prepareFlip is prepareRow for FlipMask. It also returns the row's
+// pattern jitter for the victim's fill byte and, for a hammer-only call,
+// first checks the row-level skip bound, which needs no cell state: skip
+// reports that the call provably flips nothing, and then no cell arrays
+// were built. Retention minima are built when the call needs them.
+func (m *Model) prepareFlip(loc RowLoc, victimByte byte, dose Dose, hammer, retention bool) (rc rowCalib, ca *cellArrays, patJit float64, skip bool) {
+	s, e := m.lockEntry(loc)
+	defer s.mu.Unlock()
+	if hammer {
+		if e.patJit == 0 || e.patByte != victimByte {
+			e.patJit, e.patByte = patJitter(e.rowSeed, victimByte), victimByte
+		}
+		patJit = e.patJit
+		if !retention && m.belowFlipBound(e, dose, patJit) {
+			return rowCalib{}, nil, patJit, true
+		}
+	}
+	ca = m.ensureCellsLocked(s, e)
+	rc = m.ensureCalibLocked(s, e)
+	if retention {
+		ensureRetMinsLocked(ca)
+	}
+	return rc, ca, patJit, false
+}
+
+// belowFlipBound reports whether a hammer-only dose provably flips no
+// cell of the row. It reads only terms that do not depend on the row's
+// weakest cell (lnHC1, sigTail, orientC, the pattern jitter and the word
+// factors), so it runs before the row's cells are ever drawn.
+//
+// Why the skip is exact. Every combo's effective ln dose is at most ln D
+// with D = (Above+Below)*coupleAggrOpp*coupleIntraDiff*max(orientC)*patJit.
+// Let z0 = Probit(minU) and Delta = (ln D - lnHC1)/sigTail. The anchored
+// curve has zAnchor = min(z0+zEligGap, zJ-0.3) and lnTJ > lnHC1, so when
+// Delta < -zEligGap every combo sits in the tail regime with flip
+// probability p <= Phi(min(z0+zEligGap, zJ-0.3) + Delta). A cell flips
+// only if its uniform u < 1-(1-p)^wf <= max(1,wf)*p, and every u >= minU =
+// Phi(z0). Phi is log-concave and zEligGap+Delta < 0, so
+// Phi(min(z0+zEligGap, zJ-0.3)+Delta) / Phi(z0) rises with z0 up to
+// z0 = zJ-0.3-zEligGap and falls after it; its peak is
+// Phi(zJ-0.3+Delta) / Phi(zJ-0.3-zEligGap). Hence
+// max(1,maxWF)*Phi(zJ-0.3+Delta) < Phi(zJ-0.3-zEligGap) rules out every
+// flip whatever minU turns out to be. The check demands half of that
+// (boundCeil), which absorbs rounding in math.Pow, Probit's ~1e-9
+// approximation error and the ulp-level ties in the word-factor maximum.
+func (m *Model) belowFlipBound(e *rowEntry, dose Dose, patJit float64) bool {
+	base := m.ensureBaseLocked(e)
+	d := (math.Max(dose.Above, 0) + math.Max(dose.Below, 0)) *
+		coupleAggrOpp * coupleIntraDiff * math.Max(base.orientC[0], base.orientC[1]) * patJit
+	delta := (math.Log(d) - base.lnHC1) / base.sigTail
+	if !(delta < -m.zEligGap) {
+		return false
+	}
+	if e.boundWF == 0 {
+		e.boundWF = math.Max(1, m.maxWordFactor(e.rowSeed))
+	}
+	return e.boundWF*stats.NormalCDF(m.zJunction-0.3+delta) < m.boundCeil
+}
+
+// maxWordFactor returns the largest word-cluster factor of a row without
+// building the per-word array: the factor is increasing in its word's
+// hash, so it is the factor of the largest hash.
+func (m *Model) maxWordFactor(rowSeed uint64) float64 {
+	wordSeed := hashN(rowSeed, saltWord)
+	var top uint64
+	for w := 0; w < (m.rowBits+63)/64; w++ {
+		if h := mix(wordSeed, uint64(w)) >> 11; h > top {
+			top = h
+		}
+	}
+	return wordFactor(top << 11)
+}
+
+// wordFactor is the mean-one log-normal cluster factor of the word whose
+// hash is h.
+func wordFactor(h uint64) float64 {
+	return math.Exp(wordClusterSigma*normal(h) - wordClusterSigma*wordClusterSigma/2)
 }
 
 // SetCellCacheBytes bounds the memory the model spends on materialized

@@ -76,7 +76,7 @@ func (m *Model) ColFlipMask(loc RowLoc, victim, agg []byte, dist, reads int, dst
 		dist = -dist
 	}
 
-	rc, ca := m.prepareRow(loc, false)
+	rc, ca := m.prepareRow(loc)
 	lnRow := colLnBase + colDistAlpha*math.Log(float64(dist)) + colRowSigma*normal(mix(rc.rowSeed, saltCol))
 	lnReads := math.Log(float64(reads))
 

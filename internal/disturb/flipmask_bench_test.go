@@ -105,6 +105,38 @@ func BenchmarkFlipMaskRetention(b *testing.B) {
 	}
 }
 
+// BenchmarkFlipMaskFirstTouch measures FlipMask on a row it has never
+// seen: each iteration targets a fresh row. tinyDose3 is what a
+// double-sided hammer's aggressor rows carry at restore (the row-level
+// bound settles it without building cell state); searchDose16K is a
+// victim's first evaluation inside an HCfirst search, which pays the full
+// cell-state build.
+func BenchmarkFlipMaskFirstTouch(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		dose float64
+	}{
+		{"tinyDose3", 3},
+		{"searchDose16K", 16 * 1024},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			m := benchFlipModel(b)
+			victim := benchFillRow(0x55)
+			aggr := benchFillRow(0xAA)
+			dst := make([]byte, RowBytes)
+			dose := Dose{Above: bc.dose, Below: bc.dose}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				loc := RowLoc{Channel: i & 7, Pseudo: (i >> 3) & 1, Bank: (i >> 4) & 15, Row: (i >> 8) % RowsPerBank}
+				if _, err := m.FlipMask(loc, victim, aggr, aggr, dose, 0, dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkCalibFirstTouch measures the per-row calibration cost paid on
 // the first activation of every row an experiment touches.
 func BenchmarkCalibFirstTouch(b *testing.B) {

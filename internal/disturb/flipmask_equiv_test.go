@@ -3,6 +3,7 @@ package disturb
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 )
@@ -49,6 +50,12 @@ func TestFlipMaskMatchesScalar(t *testing.T) {
 	r := &prng{s: 0xC0FFEE}
 	doses := []Dose{
 		{},
+		// 1-, 3- and 16-activation doses: the aggressor rows of a
+		// double-sided hammer see these at restore, and the row-level
+		// bound skips them before any cell state exists.
+		{Above: 1},
+		{Above: 3, Below: 3},
+		{Above: 16, Below: 16},
 		{Above: 900},
 		{Below: 1200},
 		{Above: 8_000, Below: 8_000},
@@ -106,7 +113,61 @@ func TestFlipMaskMatchesScalar(t *testing.T) {
 				}
 			}
 		}
+
+		// A ladder of hammer-only doses straddling each row's skip bound:
+		// just below it the fast path returns before building cell state,
+		// just above it evaluates every word, and both must agree with the
+		// scalar reference.
+		for i := 0; i < 24; i++ {
+			loc := RowLoc{Channel: i % 8, Pseudo: i % 2, Bank: (i * 5) % 16, Row: 300 + i*613}
+			victim := equivImages([]string{"checkered", "zero", "ones", "random"}[i%4], r)
+			aggr := equivImages([]string{"checkered", "random"}[i%2], r)
+			edge, ok := boundDose(mFast, loc, victim[0])
+			if !ok {
+				t.Fatalf("chip %d loc %+v: no bound edge to straddle", chip, loc)
+			}
+			for _, f := range []float64{0.25, 0.9, 0.999, 1 - 1e-9, 1 + 1e-9, 1.001, 1.1, 2, 4, 16} {
+				dose := Dose{Above: edge * f, Below: edge * f}
+				dstFast := make([]byte, RowBytes)
+				dstRef := make([]byte, RowBytes)
+				nFast, err := mFast.FlipMask(loc, victim, aggr, aggr, dose, 0, dstFast)
+				if err != nil {
+					t.Fatal(err)
+				}
+				nRef, err := mRef.flipMaskScalar(mRef.calibRow(loc), victim, aggr, aggr, dose, 0, dstRef)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if nFast != nRef || !bytes.Equal(dstFast, dstRef) {
+					t.Fatalf("chip %d loc %+v dose %.6g x bound edge %.6g: fast (%d flips) != scalar (%d flips)",
+						chip, loc, f, edge, nFast, nRef)
+				}
+			}
+		}
 	}
+}
+
+// boundDose returns the symmetric per-side dose at which the row-level
+// skip bound stops holding for a victim whose first byte is victimByte:
+// belowFlipBound holds at every smaller dose and fails at every larger
+// one. ok is false when the bound does not change within (1e-3, 1e9).
+func boundDose(m *Model, loc RowLoc, victimByte byte) (edge float64, ok bool) {
+	s, e := m.lockEntry(loc)
+	defer s.mu.Unlock()
+	patJit := patJitter(e.rowSeed, victimByte)
+	holds := func(d float64) bool { return m.belowFlipBound(e, Dose{Above: d, Below: d}, patJit) }
+	lo, hi := 1e-3, 1e9
+	if !holds(lo) || holds(hi) {
+		return 0, false
+	}
+	for hi/lo > 1+1e-12 {
+		if mid := math.Sqrt(lo * hi); holds(mid) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo, true
 }
 
 // TestFlipMaskMatchesScalarAcrossTempAndAge checks that generation-based

@@ -219,6 +219,10 @@ type Model struct {
 	// the weakest and the 10th weakest eligible cell.
 	zJunction, zEligGap, zTenthGap float64
 
+	// boundCeil is half of Phi(zJunction-0.3-zEligGap): a hammer-only call
+	// whose row-level bound falls below it flips nothing (belowFlipBound).
+	boundCeil float64
+
 	// gen is the calibration generation, bumped by SetTempC/SetAgeMonths;
 	// cached per-row calibrations are lazily recomputed when stale. The
 	// per-cell state (hash draws, orientation, word factors) never depends
@@ -266,6 +270,7 @@ func NewModelFor(p Profile, org Org) (*Model, error) {
 			stats.Probit(1.0/(float64(rowBits)*eligibleFrac+1)),
 		cacheBudget: defaultCellCacheBytes,
 	}
+	m.boundCeil = 0.5 * stats.NormalCDF(m.zJunction-0.3-m.zEligGap)
 	for i := range m.shards {
 		m.shards[i].rows = make(map[RowLoc]*rowEntry)
 	}
@@ -308,7 +313,10 @@ func (m *Model) resetCalib() {
 	m.gen++
 }
 
-// rowCalib holds the derived per-row threshold-curve parameters.
+// rowCalib holds the derived per-row threshold-curve parameters. It is
+// built in two stages: computeBase fills every term that does not depend
+// on the row's weakest cell, and anchor completes the curve once the
+// row's realized minimum uniform is known (see cellstate.go).
 type rowCalib struct {
 	rowSeed uint64
 	zAnchor float64 // realized weakest-cell quantile (eligible-corrected)
@@ -320,6 +328,8 @@ type rowCalib struct {
 	pTrue   float64    // fraction of true cells (charged state = 1)
 	orientC [2]float64 // coupling multiplier per orientation (0=anti, 1=true)
 	lnRet   float64    // ln median cell retention (seconds) at current temp
+	z256    float64    // probit of the eligible-cell BER target at refHammer
+	lnRef   float64    // ln reference dose (refHammer, both sides, aged)
 }
 
 func (m *Model) calibRow(loc RowLoc) rowCalib {
@@ -329,20 +339,12 @@ func (m *Model) calibRow(loc RowLoc) rowCalib {
 	return rc
 }
 
-// computeCalib derives the row's threshold-curve parameters. minU is the
-// row's realized weakest-cell uniform (the minimum of the per-cell hash
-// stream, materialized once by the cell cache).
-func (m *Model) computeCalib(loc RowLoc, rowSeed uint64, minU float64) rowCalib {
+// computeBase derives the row's calibration terms that do not depend on
+// its weakest cell: the BER and HCfirst targets, aging shift, tail spread,
+// orientation and retention. anchor completes the curve.
+func (m *Model) computeBase(loc RowLoc, rowSeed uint64) rowCalib {
 	seed := m.prof.Seed
 	die := dieOfN(loc.Channel, m.org.Channels)
-
-	// ---- Realized weakest-cell quantile. Anchoring the threshold curve
-	// at the row's actual minimum keeps the realized HCfirst pinned to the
-	// calibration target instead of drifting with extreme-value noise. ----
-	zAnchor := stats.Probit(minU) + m.zEligGap
-	if zAnchor > m.zJunction-0.3 {
-		zAnchor = m.zJunction - 0.3
-	}
 
 	// ---- BER target (fraction of the row's 8192 bits at refHammer). ----
 	berT := m.prof.BaseBERPercent / 100
@@ -383,16 +385,52 @@ func (m *Model) computeCalib(loc RowLoc, rowSeed uint64, minU float64) rowCalib 
 	if sigTail > sigTailMax {
 		sigTail = sigTailMax
 	}
-	lnHC1 := math.Log(doseSides*hc1*calibCouple) - shift
-	lnTJ := lnHC1 + sigTail*(m.zJunction-zAnchor)
+
+	// ---- Orientation. ----
+	var orientC [2]float64
+	orientC[0] = lognormal(hashN(seed, saltOrientC, uint64(die), 0), 0, orientCoupleSigma)
+	orientC[1] = lognormal(hashN(seed, saltOrientC, uint64(die), 1), 0, orientCoupleSigma)
+
+	// ---- Retention (temperature-scaled). ----
+	lnRet := math.Log(retMedianSec) + math.Ln2*(retRefTempC-m.tempC)/10
+
+	return rowCalib{
+		rowSeed: rowSeed,
+		lnHC1:   math.Log(doseSides*hc1*calibCouple) - shift,
+		sigTail: sigTail,
+		pTrue:   m.pTrueOf(die),
+		orientC: orientC,
+		lnRet:   lnRet,
+		z256:    stats.Probit(math.Min(berT/eligibleFrac, 0.9999)),
+		lnRef:   math.Log(doseSides*refHammer*calibCouple) - shift,
+	}
+}
+
+// pTrueOf is the fraction of true cells on a die. It depends only on the
+// chip seed and the die, so the cell cache can cut the orientation mask
+// before the row is calibrated.
+func (m *Model) pTrueOf(die int) float64 {
+	return 0.5 + 0.16*(unit(hashN(m.prof.Seed, saltOrientP, uint64(die)))-0.5)
+}
+
+// anchor completes a base calibration at the row's realized weakest-cell
+// uniform minU (the minimum of the per-cell hash stream, materialized once
+// by the cell cache).
+func (m *Model) anchor(rc rowCalib, minU float64) rowCalib {
+	// ---- Realized weakest-cell quantile. Anchoring the threshold curve
+	// at the row's actual minimum keeps the realized HCfirst pinned to the
+	// calibration target instead of drifting with extreme-value noise. ----
+	zAnchor := stats.Probit(minU) + m.zEligGap
+	if zAnchor > m.zJunction-0.3 {
+		zAnchor = m.zJunction - 0.3
+	}
+	lnTJ := rc.lnHC1 + rc.sigTail*(m.zJunction-zAnchor)
 
 	// ---- Bulk regime, anchored at the junction and hitting the BER
 	// target at refHammer. ----
-	z256 := stats.Probit(math.Min(berT/eligibleFrac, 0.9999))
-	lnRef := math.Log(doseSides*refHammer*calibCouple) - shift
 	var sigBulk, lnM float64
-	if z256 > m.zJunction+0.05 && lnRef > lnTJ {
-		sigBulk = (lnRef - lnTJ) / (z256 - m.zJunction)
+	if rc.z256 > m.zJunction+0.05 && rc.lnRef > lnTJ {
+		sigBulk = (rc.lnRef - lnTJ) / (rc.z256 - m.zJunction)
 		// The floor keeps the bulk curve from degenerating into a step at
 		// the reference dose (a step would let coupling noise saturate the
 		// row); floored rows undershoot their BER target slightly.
@@ -405,33 +443,19 @@ func (m *Model) computeCalib(loc RowLoc, rowSeed uint64, minU float64) rowCalib 
 		// very strong tail): continue with a default spread; the max()
 		// against the junction threshold keeps the curve monotone.
 		sigBulk = bulkSigmaDflt
-		lnM = lnRef - sigBulk*z256
+		lnM = rc.lnRef - sigBulk*rc.z256
 		if jm := lnTJ - sigBulk*m.zJunction; jm > lnM {
 			lnM = jm
 		}
 	}
+	rc.zAnchor, rc.lnTJ, rc.lnM, rc.sigBulk = zAnchor, lnTJ, lnM, sigBulk
+	return rc
+}
 
-	// ---- Orientation. ----
-	pTrue := 0.5 + 0.16*(unit(hashN(seed, saltOrientP, uint64(die)))-0.5)
-	var orientC [2]float64
-	orientC[0] = lognormal(hashN(seed, saltOrientC, uint64(die), 0), 0, orientCoupleSigma)
-	orientC[1] = lognormal(hashN(seed, saltOrientC, uint64(die), 1), 0, orientCoupleSigma)
-
-	// ---- Retention (temperature-scaled). ----
-	lnRet := math.Log(retMedianSec) + math.Ln2*(retRefTempC-m.tempC)/10
-
-	return rowCalib{
-		rowSeed: rowSeed,
-		zAnchor: zAnchor,
-		lnHC1:   lnHC1,
-		sigTail: sigTail,
-		lnTJ:    lnTJ,
-		lnM:     lnM,
-		sigBulk: sigBulk,
-		pTrue:   pTrue,
-		orientC: orientC,
-		lnRet:   lnRet,
-	}
+// patJitter is the row's dose-coupling wobble for a victim fill byte
+// (patJitterSigma).
+func patJitter(rowSeed uint64, victimByte byte) float64 {
+	return lognormal(hashN(rowSeed, saltPatJit, uint64(victimByte)), 0, patJitterSigma)
 }
 
 // dieHCFactor converts a die's BER factor into an HCfirst factor, normalized
@@ -504,7 +528,10 @@ func (m *Model) FlipMask(loc RowLoc, victim, above, below []byte, dose Dose, ret
 		return m.flipMaskScalar(m.calibRow(loc), victim, above, below, dose, retElapsedSec, dst)
 	}
 
-	rc, ca := m.prepareRow(loc, retention)
+	rc, ca, patJit, skip := m.prepareFlip(loc, victim[0], dose, hammer, retention)
+	if skip {
+		return 0, nil
+	}
 
 	// Per-combo flip-probability cutoffs. Combo index bits:
 	// bit0 aggressor-above opposite, bit1 aggressor-below opposite,
@@ -512,7 +539,6 @@ func (m *Model) FlipMask(loc RowLoc, victim, above, below []byte, dose Dose, ret
 	var pcrit [16]float64
 	maxP := 0.0
 	if hammer {
-		patJit := lognormal(hashN(rc.rowSeed, saltPatJit, uint64(victim[0])), 0, patJitterSigma)
 		aggF := [2]float64{coupleAggrSame, coupleAggrOpp}
 		intraF := [2]float64{coupleIntraSame, coupleIntraDiff}
 		for combo := 0; combo < 16; combo++ {

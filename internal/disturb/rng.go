@@ -40,6 +40,14 @@
 // budget (default 64 MiB, see Model.SetCellCacheBytes) with LRU eviction.
 // Eviction only costs a deterministic rebuild on next touch; it can never
 // change results.
+//
+// The per-cell arrays are built, in one pass over the hash stream, only
+// when an evaluation can flip a cell. A hammer-only FlipMask first checks
+// a row-level bound on terms that need no cell state (the calibration
+// terms that do not depend on the row's weakest cell, the pattern jitter
+// and the largest word factor); a dose below it provably flips nothing
+// whatever the weakest cell turns out to be, so the call returns without
+// drawing a single cell. The proof is on belowFlipBound in cellstate.go.
 package disturb
 
 import (

@@ -93,10 +93,15 @@ func (ch *Channel) rowLoc(pc, bankIdx, phys int) disturb.RowLoc {
 func (ch *Channel) Activate(pc, bankIdx, logicalRow int) error {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
-	return ch.activateLocked(pc, bankIdx, logicalRow)
+	return ch.activateLocked(pc, bankIdx, logicalRow, false)
 }
 
-func (ch *Channel) activateLocked(pc, bankIdx, logicalRow int) error {
+// activateLocked opens a row. overwrite marks the ACT of a full-row write
+// (writeRowLocked): the column burst that follows replaces every cell, so
+// the pending flips are never observable and are not evaluated. The
+// restore bookkeeping still runs, because restore epochs drive the trial
+// jitter.
+func (ch *Channel) activateLocked(pc, bankIdx, logicalRow int, overwrite bool) error {
 	if logicalRow < 0 || logicalRow >= ch.geom.Rows {
 		return fmt.Errorf("hbm: row %d out of range", logicalRow)
 	}
@@ -113,7 +118,10 @@ func (ch *Channel) activateLocked(pc, bankIdx, logicalRow int) error {
 
 	phys := ch.chip.mapper.ToPhysical(logicalRow)
 	rs := b.row(phys, ch.now)
-	ch.restoreLocked(pc, bankIdx, b, phys, rs)
+	if !overwrite {
+		ch.materializeLocked(pc, bankIdx, b, phys, rs)
+	}
+	ch.rechargeLocked(pc, bankIdx, phys, rs)
 
 	b.open = true
 	b.openLogical = logicalRow
@@ -200,6 +208,13 @@ func (ch *Channel) applyDoseLocked(pc, bankIdx int, b *bank, physRow, count int,
 // doses, retention) and flips into the row's stored data, then restores
 // full charge (dose and retention clock reset, epoch advance).
 func (ch *Channel) restoreLocked(pc, bankIdx int, b *bank, phys int, rs *rowState) {
+	ch.materializeLocked(pc, bankIdx, b, phys, rs)
+	ch.rechargeLocked(pc, bankIdx, phys, rs)
+}
+
+// materializeLocked applies the flips of the row's pending disturbance to
+// its stored data.
+func (ch *Channel) materializeLocked(pc, bankIdx int, b *bank, phys int, rs *rowState) {
 	rowPending := rs.doseAbove > 0 || rs.doseBelow > 0 || ch.now-rs.lastRestore > 30*MS
 	if rs.data != nil && (rowPending || len(rs.colDoses) > 0) {
 		if ch.scratch == nil {
@@ -244,6 +259,12 @@ func (ch *Channel) restoreLocked(pc, bankIdx int, b *bank, phys int, rs *rowStat
 			}
 		}
 	}
+}
+
+// rechargeLocked restores the row's full charge: pending doses and the
+// retention clock reset, and the restore epoch advances (reseeding the
+// row's trial jitter).
+func (ch *Channel) rechargeLocked(pc, bankIdx, phys int, rs *rowState) {
 	rs.doseAbove = 0
 	rs.doseBelow = 0
 	rs.colDoses = nil

@@ -15,7 +15,12 @@ import (
 // instructions of the real DRAM Bender platform.
 
 // WriteRow activates a logical row, writes all its columns from data
-// (Geometry().RowBytes bytes), and precharges.
+// (Geometry().RowBytes bytes), and precharges. The write replaces every
+// cell (and, with ECC on, every check byte), so the flips the ACT would
+// materialize from pending disturbance are never observable: the ACT skips
+// evaluating them but still restores the row (doses cleared, retention
+// clock and restore epoch advanced), so the result equals Activate, a
+// Write per column, and Precharge.
 func (ch *Channel) WriteRow(pc, bankIdx, row int, data []byte) error {
 	if len(data) < ch.geom.RowBytes {
 		return fmt.Errorf("%w: need %d bytes", ErrShortBuffer, ch.geom.RowBytes)
@@ -25,8 +30,12 @@ func (ch *Channel) WriteRow(pc, bankIdx, row int, data []byte) error {
 	return ch.writeRowLocked(pc, bankIdx, row, data)
 }
 
+// writeRowLocked is the full-row write composite. Skipping the ACT's flip
+// evaluation is safe because the column burst cannot fail once the ACT
+// succeeded: it only re-checks the bank the ACT opened, and its gate runs
+// in forced-auto mode.
 func (ch *Channel) writeRowLocked(pc, bankIdx, row int, data []byte) error {
-	if err := ch.activateLocked(pc, bankIdx, row); err != nil {
+	if err := ch.activateLocked(pc, bankIdx, row, true); err != nil {
 		return err
 	}
 	if err := ch.writeColumnsLocked(pc, bankIdx, data); err != nil {
@@ -94,9 +103,10 @@ func (ch *Channel) burstGateLocked(cmd command, pc, bankIdx int) (*bank, TimePS,
 	return b, step, nil
 }
 
-// FillRow writes the same byte to every cell of a logical row. The fill
-// data is staged in a per-channel buffer reused across calls (and kept
-// when consecutive fills use the same byte), so hot loops (pattern
+// FillRow writes the same byte to every cell of a logical row, as WriteRow
+// does (pending disturbance of the overwritten row is not evaluated). The
+// fill data is staged in a per-channel buffer reused across calls (and
+// kept when consecutive fills use the same byte), so hot loops (pattern
 // initialization before every hammer) do not allocate.
 func (ch *Channel) FillRow(pc, bankIdx, row int, fill byte) error {
 	ch.mu.Lock()
@@ -106,8 +116,13 @@ func (ch *Channel) FillRow(pc, bankIdx, row int, fill byte) error {
 		ch.fillOK = false
 	}
 	if !ch.fillOK || ch.fillByte != fill {
-		for i := range ch.fillBuf {
-			ch.fillBuf[i] = fill
+		// Doubling copies run at memmove speed; pattern init alternates
+		// victim and aggressor bytes, so this refill runs on nearly every
+		// call, and a byte-at-a-time loop here costs as much as the write.
+		buf := ch.fillBuf
+		buf[0] = fill
+		for n := 1; n < len(buf); n *= 2 {
+			copy(buf[n:], buf[:n])
 		}
 		ch.fillByte, ch.fillOK = fill, true
 	}
@@ -123,7 +138,7 @@ func (ch *Channel) ReadRow(pc, bankIdx, row int, buf []byte) error {
 	}
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
-	if err := ch.activateLocked(pc, bankIdx, row); err != nil {
+	if err := ch.activateLocked(pc, bankIdx, row, false); err != nil {
 		return err
 	}
 	if err := ch.readColumnsLocked(pc, bankIdx, buf); err != nil {

@@ -52,6 +52,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -653,6 +654,10 @@ func computeOver(kind core.Kind, src rowSource, cspec Spec) (*Aggregate, error) 
 	groups := map[string]*groupAcc{}
 	var order []string
 	matched := 0
+	// One scratch key and key buffer serve every record; a group's key is
+	// copied only when the group is new.
+	key := make([]dimVal, len(keyGet))
+	var kb []byte
 rowLoop:
 	for i := 0; i < src.n; i++ {
 		for _, ce := range conds {
@@ -665,7 +670,10 @@ rowLoop:
 					// A metric this record does not carry filters it out.
 					continue rowLoop
 				}
-				val = dimVal{str: fmtNum(mv), num: mv, isNum: true}
+				val = dimVal{num: mv, isNum: true}
+				if !ce.condIsNum {
+					val.str = fmtNum(mv) // only a string compare reads it
+				}
 			}
 			var cmp int
 			if ce.condIsNum && val.isNum {
@@ -704,17 +712,16 @@ rowLoop:
 		if !ok {
 			continue // sparse metric this record does not carry
 		}
-		key := make([]dimVal, len(keyGet))
-		var kb strings.Builder
+		kb = kb[:0]
 		for k, get := range keyGet {
 			key[k] = get(i)
-			kb.WriteString(key[k].str)
-			kb.WriteByte(0x1f)
+			kb = append(kb, key[k].str...)
+			kb = append(kb, 0x1f)
 		}
-		ks := kb.String()
-		acc, ok := groups[ks]
+		acc, ok := groups[string(kb)]
 		if !ok {
-			acc = &groupAcc{key: key}
+			ks := string(kb)
+			acc = &groupAcc{key: slices.Clone(key)}
 			groups[ks] = acc
 			order = append(order, ks)
 		}

@@ -42,7 +42,7 @@ import (
 // overhead with its polls/sweep and poll-wait-share metrics), and the
 // telemetry overhead pair (enabled-vs-disabled on the fault-model
 // kernel and the engine cell loop; allocs/op must stay 0).
-const defaultBench = "FlipMaskHot|FlipMaskRetention|CalibFirstTouch|TrialJitter|Fig5HCFirstAcrossChips|RowInitReadHotPath|HammerReadHotPath|HammerThroughput|SweepJobsScaling|StrictTimingRowOps|QueryFig5ColdMiss|ColumnarDecode|ShardMerge|FabricSweep|FabricOverhead|TelemetryOverhead"
+const defaultBench = "FlipMaskHot|FlipMaskRetention|FlipMaskFirstTouch|CalibFirstTouch|TrialJitter|Fig5HCFirstAcrossChips|RowInitReadHotPath|HammerReadHotPath|HammerThroughput|SweepJobsScaling|StrictTimingRowOps|QueryFig5ColdMiss|ColumnarDecode|ShardMerge|FabricSweep|FabricOverhead|TelemetryOverhead"
 
 // Result is one benchmark data point.
 type Result struct {
