@@ -23,7 +23,7 @@ type AgingConfig struct {
 
 // fill resolves the aging defaults and the inner BER sweep's, so the
 // config is canonical before fingerprinting.
-func (c *AgingConfig) fill(g hbm.Geometry) {
+func (c *AgingConfig) fill(g hbm.Geometry, t hbm.Timing) {
 	if c.AdditionalMonths == 0 {
 		c.AdditionalMonths = 7
 	}
@@ -33,7 +33,7 @@ func (c *AgingConfig) fill(g hbm.Geometry) {
 	if len(c.BER.Channels) == 0 {
 		c.BER.Channels = []int{0, 1, 2}
 	}
-	c.BER.fill(g)
+	c.BER.fill(g, t)
 }
 
 // AgingRecord pairs one row's BER before and after aging.
@@ -57,7 +57,7 @@ func RunAging(fleet []*TestChip, cfg AgingConfig) ([]AgingRecord, error) {
 // joined record only exists once both passes finish) - honoring the Sink
 // contract that a stream mirrors the returned slice.
 func RunAgingContext(ctx context.Context, fleet []*TestChip, cfg AgingConfig, opts ...RunOption) ([]AgingRecord, error) {
-	cfg.fill(fleetGeometry(fleet))
+	cfg.fill(fleetGeometry(fleet), fleetTiming(fleet))
 
 	o := applyOpts(opts)
 	// Aging streams its joined records only once both passes finish, so a
@@ -80,7 +80,7 @@ func RunAgingContext(ctx context.Context, fleet []*TestChip, cfg AgingConfig, op
 		if err != nil {
 			return nil, err
 		}
-		perSweep := len(newPlan(fleet, cfg.BER.Channels, cfg.BER.Pseudos, cfg.BER.Banks, len(cfg.BER.Rows)).cells)
+		perSweep := berKind.axes(&cfg.BER).cells(len(fleet))
 		agg = &agingSink{inner: o.sink, total: 2 * perSweep}
 		innerOpts = append(innerOpts, WithSink(agg))
 		o.sink.Start(agg.total)

@@ -32,7 +32,7 @@ type BERConfig struct {
 	CollectMasks bool
 }
 
-func (c *BERConfig) fill(g hbm.Geometry) {
+func (c *BERConfig) fill(g hbm.Geometry, _ hbm.Timing) {
 	if len(c.Channels) == 0 {
 		c.Channels = Channels(g.Channels)
 	}
@@ -84,39 +84,32 @@ func RunBER(fleet []*TestChip, cfg BERConfig) ([]BERRecord, error) {
 // contributing its patterns in config order with the derived WCDP record
 // last - deterministically, independent of worker count.
 func RunBERContext(ctx context.Context, fleet []*TestChip, cfg BERConfig, opts ...RunOption) ([]BERRecord, error) {
-	cfg.fill(fleetGeometry(fleet))
-	p := newPlan(fleet, cfg.Channels, cfg.Pseudos, cfg.Banks, len(cfg.Rows))
-	o := applyOpts(opts)
-	// Every cell emits one record per pattern plus the derived WCDP record.
-	p, st, err := prepareSweep[BERRecord](KindBER, fleet, cfg, p, o, fixedSpan(len(cfg.Patterns)+1))
-	if err != nil {
-		return nil, err
-	}
-	return runSweep(ctx, p, o, st, func(_ context.Context, env *cellEnv, c Cell) ([]BERRecord, error) {
-		ref := env.bank(c.Pseudo, c.Bank)
-		return berForRow(ref, c.Channel, cfg.Rows[c.Point], cfg)
-	})
+	return runKind(ctx, berKind, fleet, cfg, opts...)
 }
 
-func berForRow(ref bankRef, chIdx, row int, cfg BERConfig) ([]BERRecord, error) {
-	recs := make([]BERRecord, 0, len(cfg.Patterns)+1)
+// measure runs one plan cell: every pattern on one victim row, then the
+// derived WCDP record.
+func (c *BERConfig) measure(_ context.Context, env *cellEnv, cell Cell) ([]BERRecord, error) {
+	ref := env.bank(cell.Pseudo, cell.Bank)
+	row := c.Rows[cell.Point]
+	recs := make([]BERRecord, 0, len(c.Patterns)+1)
 	bestIdx, bestBER := -1, -1.0
-	for _, p := range cfg.Patterns {
+	for _, p := range c.Patterns {
 		var mask []byte
-		if cfg.CollectMasks {
+		if c.CollectMasks {
 			mask = make([]byte, ref.geom.RowBytes)
 		}
 		total := 0
-		for rep := 0; rep < cfg.Reps; rep++ {
-			n, err := ref.hammerAndCount(row, p, cfg.HammerCount, cfg.TOn, mask)
+		for rep := 0; rep < c.Reps; rep++ {
+			n, err := ref.hammerAndCount(row, p, c.HammerCount, c.TOn, mask)
 			if err != nil {
 				return nil, fmt.Errorf("row %d pattern %s: %w", row, p, err)
 			}
 			total += n
 		}
-		ber := float64(total) / float64(cfg.Reps) / float64(ref.geom.RowBits()) * 100
+		ber := float64(total) / float64(c.Reps) / float64(ref.geom.RowBits()) * 100
 		recs = append(recs, BERRecord{
-			Chip: ref.tc.Index, Channel: chIdx, Pseudo: ref.pc, Bank: ref.bnk, Row: row,
+			Chip: ref.tc.Index, Channel: cell.Channel, Pseudo: ref.pc, Bank: ref.bnk, Row: row,
 			Pattern: p, BERPercent: ber, Mask: mask,
 		})
 		if ber > bestBER {

@@ -70,34 +70,29 @@ func RunBypass(fleet []*TestChip, cfg BypassConfig) ([]BypassRecord, error) {
 // derive from the first chip's geometry and timing; mixed fleets should
 // set Victims and Windows explicitly.
 func RunBypassContext(ctx context.Context, fleet []*TestChip, cfg BypassConfig, opts ...RunOption) ([]BypassRecord, error) {
-	cfg.fill(fleetGeometry(fleet), fleetTiming(fleet))
-	p := newPlan(fleet, []int{cfg.Channel}, []int{cfg.Pseudo}, []int{cfg.Bank},
-		len(cfg.DummyCounts)*len(cfg.AggActs)*len(cfg.Victims))
-	o := applyOpts(opts)
-	p, st, err := prepareSweep[BypassRecord](KindBypass, fleet, cfg, p, o, fixedSpan(1))
+	return runKind(ctx, bypassKind, fleet, cfg, opts...)
+}
+
+// measure runs one plan cell: one (dummies, aggActs, victim) triple.
+func (c *BypassConfig) measure(ctx context.Context, env *cellEnv, cell Cell) ([]BypassRecord, error) {
+	pt := cell.Point
+	victim := c.Victims[pt%len(c.Victims)]
+	pt /= len(c.Victims)
+	aggActs := c.AggActs[pt%len(c.AggActs)]
+	dummies := c.DummyCounts[pt/len(c.AggActs)]
+
+	budget := env.tc.Chip.Timing().ActBudgetPerREFI()
+	if 2*aggActs > budget {
+		return nil, fmt.Errorf("core: aggressor activations %d exceed the %d-ACT budget", aggActs, budget)
+	}
+	ber, err := runBypassPattern(ctx, env, *c, victim, dummies, aggActs, budget)
 	if err != nil {
 		return nil, err
 	}
-	return runSweep(ctx, p, o, st, func(ctx context.Context, env *cellEnv, c Cell) ([]BypassRecord, error) {
-		pt := c.Point
-		victim := cfg.Victims[pt%len(cfg.Victims)]
-		pt /= len(cfg.Victims)
-		aggActs := cfg.AggActs[pt%len(cfg.AggActs)]
-		dummies := cfg.DummyCounts[pt/len(cfg.AggActs)]
-
-		budget := env.tc.Chip.Timing().ActBudgetPerREFI()
-		if 2*aggActs > budget {
-			return nil, fmt.Errorf("core: aggressor activations %d exceed the %d-ACT budget", aggActs, budget)
-		}
-		ber, err := runBypassPattern(ctx, env, cfg, victim, dummies, aggActs, budget)
-		if err != nil {
-			return nil, err
-		}
-		return []BypassRecord{{
-			Chip: env.tc.Index, Row: victim, Dummies: dummies, AggActs: aggActs,
-			BERPercent: ber,
-		}}, nil
-	})
+	return []BypassRecord{{
+		Chip: env.tc.Index, Row: victim, Dummies: dummies, AggActs: aggActs,
+		BERPercent: ber,
+	}}, nil
 }
 
 func runBypassPattern(ctx context.Context, env *cellEnv, cfg BypassConfig, victim, dummies, aggActs, budget int) (float64, error) {

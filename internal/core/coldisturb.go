@@ -41,7 +41,7 @@ type ColDisturbConfig struct {
 	MinReads, MaxReads int
 }
 
-func (c *ColDisturbConfig) fill(g hbm.Geometry) {
+func (c *ColDisturbConfig) fill(g hbm.Geometry, _ hbm.Timing) {
 	if len(c.Distances) == 0 {
 		c.Distances = []int{1, 2, 3, 4, 6, 8}
 	}
@@ -115,108 +115,104 @@ func RunColDisturb(fleet []*TestChip, cfg ColDisturbConfig) ([]ColDisturbRecord,
 // options. Records are in plan order: (chip, aggressor row, distance,
 // stripe).
 func RunColDisturbContext(ctx context.Context, fleet []*TestChip, cfg ColDisturbConfig, opts ...RunOption) ([]ColDisturbRecord, error) {
-	cfg.fill(fleetGeometry(fleet))
-	p := newPlan(fleet, []int{cfg.Channel}, []int{cfg.Pseudo}, []int{cfg.Bank}, len(cfg.AggRows))
-	o := applyOpts(opts)
-	span := len(cfg.Distances) * len(cfg.Stripes)
-	p, st, err := prepareSweep[ColDisturbRecord](KindColDisturb, fleet, cfg, p, o, fixedSpan(span))
-	if err != nil {
-		return nil, err
-	}
-	return runSweep(ctx, p, o, st, func(ctx context.Context, env *cellEnv, c Cell) ([]ColDisturbRecord, error) {
-		ref := env.bank(c.Pseudo, c.Bank)
-		agg := cfg.AggRows[c.Point]
-		cb := ref.geom.ColBytes
-		stripeBuf := make([]byte, ref.geom.RowBytes)
-		mask := make([]byte, ref.geom.RowBytes)
-		recs := make([]ColDisturbRecord, 0, span)
-		for _, dist := range cfg.Distances {
-			victim := agg + dist
-			if dist == 0 || victim < 0 || victim >= ref.geom.Rows {
-				return nil, fmt.Errorf("core: aggressor %d has no victim at distance %d", agg, dist)
+	return runKind(ctx, colDisturbKind, fleet, cfg, opts...)
+}
+
+// measure runs one plan cell: every (distance, stripe) probe around one
+// aggressor row.
+func (c *ColDisturbConfig) measure(ctx context.Context, env *cellEnv, cell Cell) ([]ColDisturbRecord, error) {
+	ref := env.bank(cell.Pseudo, cell.Bank)
+	agg := c.AggRows[cell.Point]
+	cb := ref.geom.ColBytes
+	stripeBuf := make([]byte, ref.geom.RowBytes)
+	mask := make([]byte, ref.geom.RowBytes)
+	recs := make([]ColDisturbRecord, 0, len(c.Distances)*len(c.Stripes))
+	for _, dist := range c.Distances {
+		victim := agg + dist
+		if dist == 0 || victim < 0 || victim >= ref.geom.Rows {
+			return nil, fmt.Errorf("core: aggressor %d has no victim at distance %d", agg, dist)
+		}
+		for _, stripe := range c.Stripes {
+			if stripe <= 0 {
+				return nil, fmt.Errorf("core: stripe width %d out of range", stripe)
 			}
-			for _, stripe := range cfg.Stripes {
-				if stripe <= 0 {
-					return nil, fmt.Errorf("core: stripe width %d out of range", stripe)
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			sb := stripe * cb
+			for i := range stripeBuf {
+				if (i/sb)%2 == 0 {
+					stripeBuf[i] = 0xFF
+				} else {
+					stripeBuf[i] = 0x00
 				}
-				if err := ctx.Err(); err != nil {
-					return nil, err
+			}
+			probe := func(reads int, mask []byte) (int, error) {
+				if err := ref.ch.FillRow(ref.pc, ref.bnk, ref.logical(victim), 0xFF); err != nil {
+					return 0, err
 				}
-				sb := stripe * cb
-				for i := range stripeBuf {
-					if (i/sb)%2 == 0 {
-						stripeBuf[i] = 0xFF
-					} else {
-						stripeBuf[i] = 0x00
-					}
+				if err := ref.ch.WriteRow(ref.pc, ref.bnk, ref.logical(agg), stripeBuf); err != nil {
+					return 0, err
 				}
-				probe := func(reads int, mask []byte) (int, error) {
-					if err := ref.ch.FillRow(ref.pc, ref.bnk, ref.logical(victim), 0xFF); err != nil {
-						return 0, err
-					}
-					if err := ref.ch.WriteRow(ref.pc, ref.bnk, ref.logical(agg), stripeBuf); err != nil {
-						return 0, err
-					}
-					if err := ref.ch.ColumnRead(ref.pc, ref.bnk, ref.logical(agg), reads); err != nil {
-						return 0, err
-					}
-					return ref.readFlips(victim, 0xFF, mask)
+				if err := ref.ch.ColumnRead(ref.pc, ref.bnk, ref.logical(agg), reads); err != nil {
+					return 0, err
 				}
+				return ref.readFlips(victim, 0xFF, mask)
+			}
 
-				for i := range mask {
-					mask[i] = 0
-				}
-				flips, err := probe(cfg.Reads, mask)
-				if err != nil {
-					return nil, err
-				}
-				rec := ColDisturbRecord{
-					Chip: env.tc.Index, Channel: c.Channel, Pseudo: c.Pseudo, Bank: c.Bank,
-					Row: agg, Distance: dist, Stripe: stripe, Reads: cfg.Reads, Flips: flips,
-					ColFlips: columnCounts(mask, cb),
-				}
+			for i := range mask {
+				mask[i] = 0
+			}
+			flips, err := probe(c.Reads, mask)
+			if err != nil {
+				return nil, err
+			}
+			rec := ColDisturbRecord{
+				Chip: env.tc.Index, Channel: cell.Channel, Pseudo: cell.Pseudo, Bank: cell.Bank,
+				Row: agg, Distance: dist, Stripe: stripe, Reads: c.Reads, Flips: flips,
+				ColFlips: columnCounts(mask, cb),
+			}
 
-				// First-disturb threshold: same geometric bisection and
-				// termination rules as hcSearch, with reads as the dose.
-				lo, hi := cfg.MinReads, cfg.MaxReads
-				if lo < 1 {
-					lo = 1
-				}
-				n, err := probe(hi, nil)
+			// First-disturb threshold: same geometric bisection and
+			// termination rules as hcSearch, with reads as the dose.
+			lo, hi := c.MinReads, c.MaxReads
+			if lo < 1 {
+				lo = 1
+			}
+			n, err := probe(hi, nil)
+			if err != nil {
+				return nil, err
+			}
+			if n >= 1 {
+				n, err = probe(lo, nil)
 				if err != nil {
 					return nil, err
 				}
 				if n >= 1 {
-					n, err = probe(lo, nil)
-					if err != nil {
-						return nil, err
-					}
-					if n >= 1 {
-						hi = lo
-					} else {
-						for hi-lo > 1 && float64(hi)/float64(lo) > 1.01 {
-							if err := ctx.Err(); err != nil {
-								return nil, err
-							}
-							mid := intSqrt(lo, hi)
-							n, err = probe(mid, nil)
-							if err != nil {
-								return nil, err
-							}
-							if n >= 1 {
-								hi = mid
-							} else {
-								lo = mid
-							}
+					hi = lo
+				} else {
+					for hi-lo > 1 && float64(hi)/float64(lo) > 1.01 {
+						if err := ctx.Err(); err != nil {
+							return nil, err
+						}
+						mid := intSqrt(lo, hi)
+						n, err = probe(mid, nil)
+						if err != nil {
+							return nil, err
+						}
+						if n >= 1 {
+							hi = mid
+						} else {
+							lo = mid
 						}
 					}
-					rec.FirstDisturb, rec.Found = hi, true
 				}
-				recs = append(recs, rec)
+				rec.FirstDisturb, rec.Found = hi, true
 			}
+			recs = append(recs, rec)
 		}
-		return recs, nil
-	})
+	}
+	return recs, nil
 }
 
 // columnCounts folds a row-sized flip mask into per-column flip counts.

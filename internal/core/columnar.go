@@ -8,6 +8,7 @@ import (
 	"io"
 	"io/fs"
 	"math"
+	"reflect"
 
 	"hbmrd/internal/pattern"
 )
@@ -16,10 +17,11 @@ import (
 // alongside a finished sweep's JSONL. Records are transposed into
 // per-field typed arrays - delta/varint integers, raw float64 columns,
 // dictionary-encoded pattern labels, bitset booleans - behind a
-// self-describing header (kind, column schema, row count). JSONL stays
+// self-describing header (kind, column schema, row count). A kind's schema
+// is its record struct's fields, in order (see kinds.go). JSONL stays
 // the interchange contract: EncodeColumnar(DecodeRecords(jsonl)) followed
 // by DecodeColumnar and EncodeRecords reproduces the original JSONL byte
-// for byte, for all eight record kinds (the columnar round-trip contract
+// for byte, for every record kind (the columnar round-trip contract
 // the golden CI job enforces), so golden digests and fingerprints are
 // untouched by the artifact's existence. The win is on the read side: a
 // column decode is a handful of array scans instead of one reflective
@@ -73,15 +75,6 @@ type Column struct {
 	Bytes    [][]byte
 }
 
-// Int returns row i of an integer column.
-func (c *Column) Int(i int) int64 { return c.Ints[i] }
-
-// Float returns row i of a float column.
-func (c *Column) Float(i int) float64 { return c.Floats[i] }
-
-// Bool returns row i of a boolean column.
-func (c *Column) Bool(i int) bool { return c.Bools[i] }
-
 // Label returns row i of a dictionary column.
 func (c *Column) Label(i int) string { return c.Labels[c.Ints[i]] }
 
@@ -115,198 +108,134 @@ type colSpec struct {
 	typ  uint8
 }
 
-// columnarSchema returns a kind's column schema, in the record struct's
-// field order (which is also the JSONL field order). Column names are the
-// record field names, so the artifact is self-describing against the
-// interchange format.
-func columnarSchema(kind Kind) ([]colSpec, error) {
-	switch kind {
-	case KindBER:
-		return []colSpec{{"Chip", ColInt}, {"Channel", ColInt}, {"Pseudo", ColInt}, {"Bank", ColInt}, {"Row", ColInt},
-			{"Pattern", ColDict}, {"WCDP", ColBool}, {"BERPercent", ColFloat}, {"Mask", ColBytes}}, nil
-	case KindHCFirst:
-		return []colSpec{{"Chip", ColInt}, {"Channel", ColInt}, {"Pseudo", ColInt}, {"Bank", ColInt}, {"Row", ColInt},
-			{"Pattern", ColDict}, {"WCDP", ColBool}, {"HCFirst", ColInt}, {"Found", ColBool}}, nil
-	case KindHCNth:
-		return []colSpec{{"Chip", ColInt}, {"Channel", ColInt}, {"Row", ColInt},
-			{"Pattern", ColDict}, {"HC", ColIntList}, {"Found", ColBool}}, nil
-	case KindVariability:
-		return []colSpec{{"Chip", ColInt}, {"Row", ColInt}, {"MinHC", ColInt}, {"MaxHC", ColInt},
-			{"Iterations", ColInt}, {"MeasuredRatios", ColBool}}, nil
-	case KindRowPressBER:
-		return []colSpec{{"Chip", ColInt}, {"Channel", ColInt}, {"TAggON", ColInt},
-			{"BERPercent", ColFloat}, {"RetentionBERPercent", ColFloat}, {"Rows", ColInt}}, nil
-	case KindRowPressHC:
-		return []colSpec{{"Chip", ColInt}, {"Channel", ColInt}, {"Row", ColInt}, {"TAggON", ColInt},
-			{"HCFirst", ColInt}, {"Found", ColBool}, {"WithinWindow", ColBool}}, nil
-	case KindBypass:
-		return []colSpec{{"Chip", ColInt}, {"Row", ColInt}, {"Dummies", ColInt}, {"AggActs", ColInt},
-			{"BERPercent", ColFloat}}, nil
-	case KindAging:
-		return []colSpec{{"Chip", ColInt}, {"Channel", ColInt}, {"Row", ColInt},
-			{"OldBERPercent", ColFloat}, {"NewBERPercent", ColFloat}}, nil
-	case KindVRD:
-		return []colSpec{{"Chip", ColInt}, {"Channel", ColInt}, {"Pseudo", ColInt}, {"Bank", ColInt}, {"Row", ColInt},
-			{"Pattern", ColDict}, {"Trials", ColInt}, {"Found", ColInt}, {"MinHC", ColInt}, {"MaxHC", ColInt},
-			{"MeanHC", ColFloat}, {"PHC", ColInt}, {"HCs", ColIntList}}, nil
-	case KindColDisturb:
-		return []colSpec{{"Chip", ColInt}, {"Channel", ColInt}, {"Pseudo", ColInt}, {"Bank", ColInt}, {"Row", ColInt},
-			{"Distance", ColInt}, {"Stripe", ColInt}, {"Reads", ColInt}, {"Flips", ColInt},
-			{"ColFlips", ColIntList}, {"FirstDisturb", ColInt}, {"Found", ColBool}}, nil
+var (
+	patternType = reflect.TypeOf(pattern.Pattern(0))
+	intsType    = reflect.TypeOf([]int(nil))
+	bytesType   = reflect.TypeOf([]byte(nil))
+)
+
+// schemaOf derives a record type's column schema: one column per field,
+// in declaration order (which is also the JSONL field order), named after
+// the field and typed by its Go type. Pattern fields are dictionary
+// columns; int-kinded fields (including hbm.TimePS) are integer columns.
+func schemaOf(rt reflect.Type) []colSpec {
+	specs := make([]colSpec, rt.NumField())
+	for i := range specs {
+		f := rt.Field(i)
+		var typ uint8
+		switch k := f.Type.Kind(); {
+		case f.Type == patternType:
+			typ = ColDict
+		case k == reflect.Int || k == reflect.Int64:
+			typ = ColInt
+		case k == reflect.Float64:
+			typ = ColFloat
+		case k == reflect.Bool:
+			typ = ColBool
+		case f.Type == intsType:
+			typ = ColIntList
+		case f.Type == bytesType:
+			typ = ColBytes
+		default:
+			panic(fmt.Sprintf("core: %s.%s has no columnar type", rt.Name(), f.Name))
+		}
+		specs[i] = colSpec{f.Name, typ}
 	}
-	return nil, fmt.Errorf("core: no columnar schema for kind %q", kind)
+	return specs
 }
 
 // ExtractColumns transposes a kind's typed record slice (the shape
-// DecodeRecords returns and the runners produce) into its columnar form.
+// DecodeRecords returns and the runners produce) into its columnar form:
+// one column per record field, in field order (which is also the JSONL
+// field order), named after the field. The schema is the kind's
+// registered one, derived from its record type.
 func ExtractColumns(kind Kind, records any) (*ColumnSet, error) {
-	specs, err := columnarSchema(kind)
+	d, err := LookupKind(kind)
 	if err != nil {
 		return nil, err
 	}
-	n := RecordCount(records)
-	cs := &ColumnSet{N: n, Cols: make([]Column, len(specs))}
-	for i, sp := range specs {
-		cs.Cols[i] = Column{Name: sp.name, Type: sp.typ}
-		switch sp.typ {
-		case ColInt, ColDict:
-			cs.Cols[i].Ints = make([]int64, 0, n)
-		case ColFloat:
-			cs.Cols[i].Floats = make([]float64, 0, n)
-		case ColBool:
-			cs.Cols[i].Bools = make([]bool, 0, n)
-		case ColIntList:
-			cs.Cols[i].IntLists = make([][]int, 0, n)
-		case ColBytes:
-			cs.Cols[i].Bytes = make([][]byte, 0, n)
-		}
-	}
-	col := func(i int) *Column { return &cs.Cols[i] }
-	pat := func(i int, p pattern.Pattern) {
-		c := col(i)
-		label := p.String()
-		for j, l := range c.Labels {
-			if l == label {
-				c.Ints = append(c.Ints, int64(j))
-				return
-			}
-		}
-		c.Labels = append(c.Labels, label)
-		c.Ints = append(c.Ints, int64(len(c.Labels)-1))
-	}
-	switch recs := records.(type) {
-	case []BERRecord:
-		for _, r := range recs {
-			col(0).Ints = append(col(0).Ints, int64(r.Chip))
-			col(1).Ints = append(col(1).Ints, int64(r.Channel))
-			col(2).Ints = append(col(2).Ints, int64(r.Pseudo))
-			col(3).Ints = append(col(3).Ints, int64(r.Bank))
-			col(4).Ints = append(col(4).Ints, int64(r.Row))
-			pat(5, r.Pattern)
-			col(6).Bools = append(col(6).Bools, r.WCDP)
-			col(7).Floats = append(col(7).Floats, r.BERPercent)
-			col(8).Bytes = append(col(8).Bytes, r.Mask)
-		}
-	case []HCFirstRecord:
-		for _, r := range recs {
-			col(0).Ints = append(col(0).Ints, int64(r.Chip))
-			col(1).Ints = append(col(1).Ints, int64(r.Channel))
-			col(2).Ints = append(col(2).Ints, int64(r.Pseudo))
-			col(3).Ints = append(col(3).Ints, int64(r.Bank))
-			col(4).Ints = append(col(4).Ints, int64(r.Row))
-			pat(5, r.Pattern)
-			col(6).Bools = append(col(6).Bools, r.WCDP)
-			col(7).Ints = append(col(7).Ints, int64(r.HCFirst))
-			col(8).Bools = append(col(8).Bools, r.Found)
-		}
-	case []HCNthRecord:
-		for _, r := range recs {
-			col(0).Ints = append(col(0).Ints, int64(r.Chip))
-			col(1).Ints = append(col(1).Ints, int64(r.Channel))
-			col(2).Ints = append(col(2).Ints, int64(r.Row))
-			pat(3, r.Pattern)
-			col(4).IntLists = append(col(4).IntLists, r.HC)
-			col(5).Bools = append(col(5).Bools, r.Found)
-		}
-	case []VariabilityRecord:
-		for _, r := range recs {
-			col(0).Ints = append(col(0).Ints, int64(r.Chip))
-			col(1).Ints = append(col(1).Ints, int64(r.Row))
-			col(2).Ints = append(col(2).Ints, int64(r.MinHC))
-			col(3).Ints = append(col(3).Ints, int64(r.MaxHC))
-			col(4).Ints = append(col(4).Ints, int64(r.Iterations))
-			col(5).Bools = append(col(5).Bools, r.MeasuredRatios)
-		}
-	case []RowPressBERRecord:
-		for _, r := range recs {
-			col(0).Ints = append(col(0).Ints, int64(r.Chip))
-			col(1).Ints = append(col(1).Ints, int64(r.Channel))
-			col(2).Ints = append(col(2).Ints, int64(r.TAggON))
-			col(3).Floats = append(col(3).Floats, r.BERPercent)
-			col(4).Floats = append(col(4).Floats, r.RetentionBERPercent)
-			col(5).Ints = append(col(5).Ints, int64(r.Rows))
-		}
-	case []RowPressHCRecord:
-		for _, r := range recs {
-			col(0).Ints = append(col(0).Ints, int64(r.Chip))
-			col(1).Ints = append(col(1).Ints, int64(r.Channel))
-			col(2).Ints = append(col(2).Ints, int64(r.Row))
-			col(3).Ints = append(col(3).Ints, int64(r.TAggON))
-			col(4).Ints = append(col(4).Ints, int64(r.HCFirst))
-			col(5).Bools = append(col(5).Bools, r.Found)
-			col(6).Bools = append(col(6).Bools, r.WithinWindow)
-		}
-	case []BypassRecord:
-		for _, r := range recs {
-			col(0).Ints = append(col(0).Ints, int64(r.Chip))
-			col(1).Ints = append(col(1).Ints, int64(r.Row))
-			col(2).Ints = append(col(2).Ints, int64(r.Dummies))
-			col(3).Ints = append(col(3).Ints, int64(r.AggActs))
-			col(4).Floats = append(col(4).Floats, r.BERPercent)
-		}
-	case []AgingRecord:
-		for _, r := range recs {
-			col(0).Ints = append(col(0).Ints, int64(r.Chip))
-			col(1).Ints = append(col(1).Ints, int64(r.Channel))
-			col(2).Ints = append(col(2).Ints, int64(r.Row))
-			col(3).Floats = append(col(3).Floats, r.OldBERPercent)
-			col(4).Floats = append(col(4).Floats, r.NewBERPercent)
-		}
-	case []VRDRecord:
-		for _, r := range recs {
-			col(0).Ints = append(col(0).Ints, int64(r.Chip))
-			col(1).Ints = append(col(1).Ints, int64(r.Channel))
-			col(2).Ints = append(col(2).Ints, int64(r.Pseudo))
-			col(3).Ints = append(col(3).Ints, int64(r.Bank))
-			col(4).Ints = append(col(4).Ints, int64(r.Row))
-			pat(5, r.Pattern)
-			col(6).Ints = append(col(6).Ints, int64(r.Trials))
-			col(7).Ints = append(col(7).Ints, int64(r.Found))
-			col(8).Ints = append(col(8).Ints, int64(r.MinHC))
-			col(9).Ints = append(col(9).Ints, int64(r.MaxHC))
-			col(10).Floats = append(col(10).Floats, r.MeanHC)
-			col(11).Ints = append(col(11).Ints, int64(r.PHC))
-			col(12).IntLists = append(col(12).IntLists, r.HCs)
-		}
-	case []ColDisturbRecord:
-		for _, r := range recs {
-			col(0).Ints = append(col(0).Ints, int64(r.Chip))
-			col(1).Ints = append(col(1).Ints, int64(r.Channel))
-			col(2).Ints = append(col(2).Ints, int64(r.Pseudo))
-			col(3).Ints = append(col(3).Ints, int64(r.Bank))
-			col(4).Ints = append(col(4).Ints, int64(r.Row))
-			col(5).Ints = append(col(5).Ints, int64(r.Distance))
-			col(6).Ints = append(col(6).Ints, int64(r.Stripe))
-			col(7).Ints = append(col(7).Ints, int64(r.Reads))
-			col(8).Ints = append(col(8).Ints, int64(r.Flips))
-			col(9).IntLists = append(col(9).IntLists, r.ColFlips)
-			col(10).Ints = append(col(10).Ints, int64(r.FirstDisturb))
-			col(11).Bools = append(col(11).Bools, r.Found)
-		}
-	default:
+	rt, specs := d.columns()
+	rv := reflect.ValueOf(records)
+	if !rv.IsValid() || rv.Type() != reflect.SliceOf(rt) {
 		return nil, fmt.Errorf("core: unsupported record slice %T for kind %s", records, kind)
 	}
+	n := rv.Len()
+	cs := &ColumnSet{N: n, Cols: make([]Column, len(specs))}
+	for f, sp := range specs {
+		c := &cs.Cols[f]
+		*c = Column{Name: sp.name, Type: sp.typ}
+		field := func(i int) reflect.Value { return rv.Index(i).Field(f) }
+		switch sp.typ {
+		case ColInt:
+			c.Ints = make([]int64, n)
+			for i := range c.Ints {
+				c.Ints[i] = field(i).Int()
+			}
+		case ColDict:
+			c.Ints = make([]int64, n)
+			for i := range c.Ints {
+				c.Ints[i] = c.labelIndex(pattern.Pattern(field(i).Int()).String())
+			}
+		case ColFloat:
+			c.Floats = make([]float64, n)
+			for i := range c.Floats {
+				c.Floats[i] = field(i).Float()
+			}
+		case ColBool:
+			c.Bools = make([]bool, n)
+			for i := range c.Bools {
+				c.Bools[i] = field(i).Bool()
+			}
+		case ColIntList:
+			c.IntLists = make([][]int, n)
+			for i := range c.IntLists {
+				// Boxing the field's address, not the slice, allocates nothing.
+				c.IntLists[i] = *field(i).Addr().Interface().(*[]int)
+			}
+		case ColBytes:
+			c.Bytes = make([][]byte, n)
+			for i := range c.Bytes {
+				c.Bytes[i] = field(i).Bytes()
+			}
+		}
+	}
 	return cs, nil
+}
+
+// labelIndex returns label's index in the column's dictionary, appending
+// it on first sight, so dictionary order is first-appearance order.
+func (c *Column) labelIndex(label string) int64 {
+	for j, l := range c.Labels {
+		if l == label {
+			return int64(j)
+		}
+	}
+	c.Labels = append(c.Labels, label)
+	return int64(len(c.Labels) - 1)
+}
+
+// schema checks the column set against its kind's registered schema -
+// the same column names and types, in record-field order - and returns
+// the kind's record type and schema. DecodeColumnar and Records both
+// apply it, so no reader of a column set ever indexes a value slice its
+// column does not carry.
+func (cs *ColumnSet) schema() (reflect.Type, []colSpec, error) {
+	kind := Kind(cs.Header.Kind)
+	d, err := LookupKind(kind)
+	if err != nil {
+		return nil, nil, err
+	}
+	rt, specs := d.columns()
+	if len(cs.Cols) != len(specs) {
+		return nil, nil, fmt.Errorf("core: columnar %s sweep has %d columns, schema wants %d", kind, len(cs.Cols), len(specs))
+	}
+	for i, sp := range specs {
+		if cs.Cols[i].Name != sp.name || cs.Cols[i].Type != sp.typ {
+			return nil, nil, fmt.Errorf("core: columnar %s sweep column %d is %s/%d, schema wants %s/%d",
+				kind, i, cs.Cols[i].Name, cs.Cols[i].Type, sp.name, sp.typ)
+		}
+	}
+	return rt, specs, nil
 }
 
 // parsePatternLabel inverts Pattern.String for any value, including the
@@ -327,142 +256,36 @@ func parsePatternLabel(label string) (pattern.Pattern, error) {
 // Records rebuilds the typed record slice - the exact shape DecodeRecords
 // returns - from the column set. It is the inverse of ExtractColumns.
 func (cs *ColumnSet) Records() (any, error) {
-	kind := Kind(cs.Header.Kind)
-	specs, err := columnarSchema(kind)
+	rt, specs, err := cs.schema()
 	if err != nil {
 		return nil, err
 	}
-	if len(cs.Cols) != len(specs) {
-		return nil, fmt.Errorf("core: columnar %s sweep has %d columns, schema wants %d", kind, len(cs.Cols), len(specs))
+	out := reflect.MakeSlice(reflect.SliceOf(rt), cs.N, cs.N)
+	for f := range specs {
+		c := &cs.Cols[f]
+		for i := 0; i < cs.N; i++ {
+			v := out.Index(i).Field(f)
+			switch c.Type {
+			case ColInt:
+				v.SetInt(c.Ints[i])
+			case ColDict:
+				p, err := parsePatternLabel(c.Label(i))
+				if err != nil {
+					return nil, err
+				}
+				v.SetInt(int64(p))
+			case ColFloat:
+				v.SetFloat(c.Floats[i])
+			case ColBool:
+				v.SetBool(c.Bools[i])
+			case ColIntList:
+				v.Set(reflect.ValueOf(c.IntLists[i]))
+			case ColBytes:
+				v.SetBytes(c.Bytes[i])
+			}
+		}
 	}
-	for i, sp := range specs {
-		if cs.Cols[i].Name != sp.name || cs.Cols[i].Type != sp.typ {
-			return nil, fmt.Errorf("core: columnar %s sweep column %d is %s/%d, schema wants %s/%d",
-				kind, i, cs.Cols[i].Name, cs.Cols[i].Type, sp.name, sp.typ)
-		}
-	}
-	n := cs.N
-	col := func(i int) *Column { return &cs.Cols[i] }
-	pat := func(ci, i int) (pattern.Pattern, error) { return parsePatternLabel(col(ci).Label(i)) }
-	switch kind {
-	case KindBER:
-		out := make([]BERRecord, n)
-		for i := range out {
-			p, err := pat(5, i)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = BERRecord{
-				Chip: int(col(0).Int(i)), Channel: int(col(1).Int(i)), Pseudo: int(col(2).Int(i)),
-				Bank: int(col(3).Int(i)), Row: int(col(4).Int(i)),
-				Pattern: p, WCDP: col(6).Bool(i), BERPercent: col(7).Float(i), Mask: col(8).Bytes[i],
-			}
-		}
-		return out, nil
-	case KindHCFirst:
-		out := make([]HCFirstRecord, n)
-		for i := range out {
-			p, err := pat(5, i)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = HCFirstRecord{
-				Chip: int(col(0).Int(i)), Channel: int(col(1).Int(i)), Pseudo: int(col(2).Int(i)),
-				Bank: int(col(3).Int(i)), Row: int(col(4).Int(i)),
-				Pattern: p, WCDP: col(6).Bool(i), HCFirst: int(col(7).Int(i)), Found: col(8).Bool(i),
-			}
-		}
-		return out, nil
-	case KindHCNth:
-		out := make([]HCNthRecord, n)
-		for i := range out {
-			p, err := pat(3, i)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = HCNthRecord{
-				Chip: int(col(0).Int(i)), Channel: int(col(1).Int(i)), Row: int(col(2).Int(i)),
-				Pattern: p, HC: col(4).IntLists[i], Found: col(5).Bool(i),
-			}
-		}
-		return out, nil
-	case KindVariability:
-		out := make([]VariabilityRecord, n)
-		for i := range out {
-			out[i] = VariabilityRecord{
-				Chip: int(col(0).Int(i)), Row: int(col(1).Int(i)),
-				MinHC: int(col(2).Int(i)), MaxHC: int(col(3).Int(i)),
-				Iterations: int(col(4).Int(i)), MeasuredRatios: col(5).Bool(i),
-			}
-		}
-		return out, nil
-	case KindRowPressBER:
-		out := make([]RowPressBERRecord, n)
-		for i := range out {
-			out[i] = RowPressBERRecord{
-				Chip: int(col(0).Int(i)), Channel: int(col(1).Int(i)), TAggON: col(2).Int(i),
-				BERPercent: col(3).Float(i), RetentionBERPercent: col(4).Float(i), Rows: int(col(5).Int(i)),
-			}
-		}
-		return out, nil
-	case KindRowPressHC:
-		out := make([]RowPressHCRecord, n)
-		for i := range out {
-			out[i] = RowPressHCRecord{
-				Chip: int(col(0).Int(i)), Channel: int(col(1).Int(i)), Row: int(col(2).Int(i)),
-				TAggON: col(3).Int(i), HCFirst: int(col(4).Int(i)),
-				Found: col(5).Bool(i), WithinWindow: col(6).Bool(i),
-			}
-		}
-		return out, nil
-	case KindBypass:
-		out := make([]BypassRecord, n)
-		for i := range out {
-			out[i] = BypassRecord{
-				Chip: int(col(0).Int(i)), Row: int(col(1).Int(i)),
-				Dummies: int(col(2).Int(i)), AggActs: int(col(3).Int(i)), BERPercent: col(4).Float(i),
-			}
-		}
-		return out, nil
-	case KindAging:
-		out := make([]AgingRecord, n)
-		for i := range out {
-			out[i] = AgingRecord{
-				Chip: int(col(0).Int(i)), Channel: int(col(1).Int(i)), Row: int(col(2).Int(i)),
-				OldBERPercent: col(3).Float(i), NewBERPercent: col(4).Float(i),
-			}
-		}
-		return out, nil
-	case KindVRD:
-		out := make([]VRDRecord, n)
-		for i := range out {
-			p, err := pat(5, i)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = VRDRecord{
-				Chip: int(col(0).Int(i)), Channel: int(col(1).Int(i)), Pseudo: int(col(2).Int(i)),
-				Bank: int(col(3).Int(i)), Row: int(col(4).Int(i)),
-				Pattern: p, Trials: int(col(6).Int(i)), Found: int(col(7).Int(i)),
-				MinHC: int(col(8).Int(i)), MaxHC: int(col(9).Int(i)),
-				MeanHC: col(10).Float(i), PHC: int(col(11).Int(i)), HCs: col(12).IntLists[i],
-			}
-		}
-		return out, nil
-	case KindColDisturb:
-		out := make([]ColDisturbRecord, n)
-		for i := range out {
-			out[i] = ColDisturbRecord{
-				Chip: int(col(0).Int(i)), Channel: int(col(1).Int(i)), Pseudo: int(col(2).Int(i)),
-				Bank: int(col(3).Int(i)), Row: int(col(4).Int(i)),
-				Distance: int(col(5).Int(i)), Stripe: int(col(6).Int(i)), Reads: int(col(7).Int(i)),
-				Flips: int(col(8).Int(i)), ColFlips: col(9).IntLists[i],
-				FirstDisturb: int(col(10).Int(i)), Found: col(11).Bool(i),
-			}
-		}
-		return out, nil
-	}
-	return nil, fmt.Errorf("core: unknown experiment kind %q", kind)
+	return out.Interface(), nil
 }
 
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
@@ -690,9 +513,19 @@ func EncodeColumnar(w io.Writer, h SweepHeader, records any) error {
 	if err != nil {
 		return err
 	}
-	hj, err := json.Marshal(h)
+	out, err := encodeColumnSet(h, cs)
 	if err != nil {
 		return err
+	}
+	_, err = w.Write(out)
+	return err
+}
+
+// encodeColumnSet serializes a column set under header h.
+func encodeColumnSet(h SweepHeader, cs *ColumnSet) ([]byte, error) {
+	hj, err := json.Marshal(h)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]byte, 0, 4096)
 	out = append(out, columnarMagic[:]...)
@@ -709,8 +542,7 @@ func EncodeColumnar(w io.Writer, h SweepHeader, records any) error {
 		out = appendUvarint(out, uint64(len(payload)))
 		out = append(out, payload...)
 	}
-	_, err = w.Write(out)
-	return err
+	return out, nil
 }
 
 // readArtifact reads a whole artifact. When the reader can Stat (the store
@@ -734,7 +566,9 @@ func readArtifact(rd io.Reader) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodeColumnar parses a columnar artifact back into its column set.
+// DecodeColumnar parses a columnar artifact back into its column set. An
+// artifact whose columns do not match its kind's registered schema, name
+// for name and type for type, is rejected like any other malformed one.
 // Call Records on the result to rebuild the typed record slice; feeding
 // that to EncodeRecords reproduces the original JSONL byte for byte.
 func DecodeColumnar(rd io.Reader) (*ColumnSet, error) {
@@ -801,6 +635,9 @@ func DecodeColumnar(rd io.Reader) (*ColumnSet, error) {
 	}
 	if r.pos != len(b) {
 		return nil, fmt.Errorf("core: columnar artifact has %d trailing bytes", len(b)-r.pos)
+	}
+	if _, _, err := cs.schema(); err != nil {
+		return nil, err
 	}
 	return cs, nil
 }

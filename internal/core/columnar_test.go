@@ -164,12 +164,33 @@ func TestColumnarRejectsMalformed(t *testing.T) {
 	}
 	good := col.Bytes()
 
+	// Every column named as the schema wants, but Chip declared a float
+	// column with a well-formed 8-byte-per-row payload: it parses, yet an
+	// integer reader of Chip would find no ints.
+	mistypedCols, err := ExtractColumns(KindHCFirst, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mistypedCols.Cols[0] = Column{Name: "Chip", Type: ColFloat, Floats: make([]float64, len(recs))}
+	mistyped, err := encodeColumnSet(h, mistypedCols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unknown := h
+	unknown.Kind = "no-such-kind"
+	unknownKind, err := encodeColumnSet(unknown, mistypedCols)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	cases := map[string][]byte{
-		"empty":       nil,
-		"bad magic":   append([]byte("nope"), good[4:]...),
-		"bad version": append(append([]byte{}, good[:4]...), append([]byte{99}, good[5:]...)...),
-		"truncated":   good[:len(good)-3],
-		"trailing":    append(append([]byte{}, good...), 0x00),
+		"empty":           nil,
+		"bad magic":       append([]byte("nope"), good[4:]...),
+		"bad version":     append(append([]byte{}, good[:4]...), append([]byte{99}, good[5:]...)...),
+		"truncated":       good[:len(good)-3],
+		"trailing":        append(append([]byte{}, good...), 0x00),
+		"mistyped column": mistyped,
+		"unknown kind":    unknownKind,
 	}
 	for name, data := range cases {
 		if _, err := DecodeColumnar(bytes.NewReader(data)); err == nil {
@@ -214,4 +235,51 @@ func artifactFile(t *testing.T, data []byte) *os.File {
 	}
 	t.Cleanup(func() { f.Close() })
 	return f
+}
+
+// TestColumnarSchemaPinned pins every kind's columnar schema. The schema
+// is derived from the record struct - one column per field, in order - so
+// adding, removing, renaming, retyping or reordering a record field
+// silently changes the .hbmc layout. A deliberate change must bump
+// columnarVersion (old artifacts then stop decoding as the new layout)
+// and update the lists below in the same commit.
+func TestColumnarSchemaPinned(t *testing.T) {
+	t.Parallel()
+	cell := []colSpec{{"Chip", ColInt}, {"Channel", ColInt}, {"Pseudo", ColInt}, {"Bank", ColInt}, {"Row", ColInt}}
+	with := func(more ...colSpec) []colSpec { return append(append([]colSpec(nil), cell...), more...) }
+	want := map[Kind][]colSpec{
+		KindBER:     with(colSpec{"Pattern", ColDict}, colSpec{"WCDP", ColBool}, colSpec{"BERPercent", ColFloat}, colSpec{"Mask", ColBytes}),
+		KindHCFirst: with(colSpec{"Pattern", ColDict}, colSpec{"WCDP", ColBool}, colSpec{"HCFirst", ColInt}, colSpec{"Found", ColBool}),
+		KindHCNth: {{"Chip", ColInt}, {"Channel", ColInt}, {"Row", ColInt},
+			{"Pattern", ColDict}, {"HC", ColIntList}, {"Found", ColBool}},
+		KindVariability: {{"Chip", ColInt}, {"Row", ColInt}, {"MinHC", ColInt}, {"MaxHC", ColInt},
+			{"Iterations", ColInt}, {"MeasuredRatios", ColBool}},
+		KindRowPressBER: {{"Chip", ColInt}, {"Channel", ColInt}, {"TAggON", ColInt},
+			{"BERPercent", ColFloat}, {"RetentionBERPercent", ColFloat}, {"Rows", ColInt}},
+		KindRowPressHC: {{"Chip", ColInt}, {"Channel", ColInt}, {"Row", ColInt}, {"TAggON", ColInt},
+			{"HCFirst", ColInt}, {"Found", ColBool}, {"WithinWindow", ColBool}},
+		KindBypass: {{"Chip", ColInt}, {"Row", ColInt}, {"Dummies", ColInt}, {"AggActs", ColInt},
+			{"BERPercent", ColFloat}},
+		KindAging: {{"Chip", ColInt}, {"Channel", ColInt}, {"Row", ColInt},
+			{"OldBERPercent", ColFloat}, {"NewBERPercent", ColFloat}},
+		KindVRD: with(colSpec{"Pattern", ColDict}, colSpec{"Trials", ColInt}, colSpec{"Found", ColInt},
+			colSpec{"MinHC", ColInt}, colSpec{"MaxHC", ColInt}, colSpec{"MeanHC", ColFloat},
+			colSpec{"PHC", ColInt}, colSpec{"HCs", ColIntList}),
+		KindColDisturb: with(colSpec{"Distance", ColInt}, colSpec{"Stripe", ColInt}, colSpec{"Reads", ColInt},
+			colSpec{"Flips", ColInt}, colSpec{"ColFlips", ColIntList}, colSpec{"FirstDisturb", ColInt},
+			colSpec{"Found", ColBool}),
+	}
+	if len(want) != len(Kinds()) {
+		t.Errorf("pinned %d schemas for %d registered kinds", len(want), len(Kinds()))
+	}
+	for _, kind := range Kinds() {
+		d, err := LookupKind(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, got := d.columns(); !reflect.DeepEqual(got, want[kind]) {
+			t.Errorf("%s columnar schema changed - bump columnarVersion (now %d) and re-pin:\n got  %v\n want %v",
+				kind, columnarVersion, got, want[kind])
+		}
+	}
 }

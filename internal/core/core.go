@@ -40,7 +40,12 @@
 //     identical epoch sequence a local run does (see vrd.go and
 //     coldisturb.go for the two sides of this contract).
 //
-// Adding a new sweep-shaped experiment therefore costs a config struct, a
-// plan, a record-span rule for resume, and a measurement closure rather
-// than a hand-rolled worker pool.
+// Each kind is registered once, as a typed descriptor in kinds.go: its
+// config type and defaults, plan axes, resume span rule, completeness
+// rule and per-cell measurement, plus the record type whose fields, in
+// order, are its columnar schema. Fingerprinting, plan sizing, decoding,
+// the columnar codec, every Run*Context entry point and the hbmrdd
+// service read the descriptor instead of switching on the kind, so a new
+// sweep-shaped experiment costs a config struct, a record struct, a
+// measurement method and one registry entry.
 package core

@@ -17,9 +17,9 @@ import (
 // CI job enforces for every record type on every preset).
 //
 // kind names the expected experiment; pass "" to accept whatever the
-// header declares. The returned records value is a typed slice -
+// header declares. The returned records value is the kind's typed slice -
 // []BERRecord for KindBER, []HCFirstRecord for KindHCFirst, and so on for
-// all ten kinds. Record lines are decoded strictly (unknown fields and
+// every registered kind. Record lines are decoded strictly (unknown fields and
 // trailing garbage are errors), so drift between the sink encoding and
 // the record structs cannot pass silently.
 func DecodeRecords(kind Kind, r io.Reader) (SweepHeader, any, error) {
@@ -34,31 +34,11 @@ func DecodeRecords(kind Kind, r io.Reader) (SweepHeader, any, error) {
 	if h.Kind != string(kind) {
 		return SweepHeader{}, nil, fmt.Errorf("core: stream holds a %s sweep, not %s", h.Kind, kind)
 	}
-	var recs any
-	switch kind {
-	case KindBER:
-		recs, err = decodeAll[BERRecord](br)
-	case KindHCFirst:
-		recs, err = decodeAll[HCFirstRecord](br)
-	case KindHCNth:
-		recs, err = decodeAll[HCNthRecord](br)
-	case KindVariability:
-		recs, err = decodeAll[VariabilityRecord](br)
-	case KindRowPressBER:
-		recs, err = decodeAll[RowPressBERRecord](br)
-	case KindRowPressHC:
-		recs, err = decodeAll[RowPressHCRecord](br)
-	case KindBypass:
-		recs, err = decodeAll[BypassRecord](br)
-	case KindAging:
-		recs, err = decodeAll[AgingRecord](br)
-	case KindVRD:
-		recs, err = decodeAll[VRDRecord](br)
-	case KindColDisturb:
-		recs, err = decodeAll[ColDisturbRecord](br)
-	default:
-		return SweepHeader{}, nil, fmt.Errorf("core: unknown experiment kind %q", kind)
+	d, err := LookupKind(kind)
+	if err != nil {
+		return SweepHeader{}, nil, err
 	}
+	recs, err := d.decode(br)
 	if err != nil {
 		return SweepHeader{}, nil, err
 	}
@@ -98,7 +78,7 @@ func decodeAll[R any](br *bufio.Reader) ([]R, error) {
 
 // EncodeRecords writes a sweep stream - header line, then one record per
 // line - exactly as a JSONLSink would during the live run. records must be
-// a slice of one of the ten record types (the shape DecodeRecords
+// a slice of a registered record type (the shape DecodeRecords
 // returns); EncodeRecords(w, DecodeRecords(kind, r)) reproduces r byte for
 // byte.
 func EncodeRecords(w io.Writer, h SweepHeader, records any) error {
@@ -128,11 +108,13 @@ func RecordCount(records any) int {
 // whole plan - the gate that keeps an interrupted sweep (a clean-prefix
 // checkpoint) from being mistaken for a finished one. It needs no config:
 // plan cells appear in the stream as runs of records sharing one cell
-// identity, so coverage is countable from the records themselves, and the
-// two kinds with multi-record cells (BER, HCFirst) carry enough structure
-// to validate the final run too - every complete cell's records end with
-// its derived WCDP record (BER always; HCFirst whenever a pattern
-// flipped), and all cells of one sweep share one per-cell pattern count.
+// identity, so coverage is countable from the records themselves. Each
+// kind registers its rule: one record per cell; equal-length probe runs
+// (coldist); or, for the two kinds with multi-record cells (BER,
+// HCFirst), runs whose structure validates the final run too - every
+// complete cell's records end with its derived WCDP record (BER always;
+// HCFirst whenever a pattern flipped), and all cells of one sweep share
+// one per-cell pattern count.
 //
 // Aging streams no per-cell records (the joined records flush only after
 // both passes), so its completeness cannot be established from the file;
@@ -140,101 +122,98 @@ func RecordCount(records any) int {
 // through a path that witnessed the run finish (as hbmrdd's finalize
 // does).
 func VerifyComplete(h SweepHeader, records any) error {
-	incomplete := func(covered int) error {
-		return fmt.Errorf("core: incomplete sweep: records cover %d of %d plan cells", covered, h.Cells)
+	d, err := LookupKind(Kind(h.Kind))
+	if err != nil {
+		return err
 	}
-	switch recs := records.(type) {
-	case []BERRecord:
-		return verifyWCDPRuns(h, len(recs), func(i int) (key [5]int, wcdp, found bool) {
-			r := recs[i]
-			return [5]int{r.Chip, r.Channel, r.Pseudo, r.Bank, r.Row}, r.WCDP, true
-		})
-	case []HCFirstRecord:
-		return verifyWCDPRuns(h, len(recs), func(i int) (key [5]int, wcdp, found bool) {
-			r := recs[i]
-			return [5]int{r.Chip, r.Channel, r.Pseudo, r.Bank, r.Row}, r.WCDP, r.Found
-		})
-	case []HCNthRecord, []VariabilityRecord, []RowPressBERRecord, []RowPressHCRecord, []BypassRecord, []VRDRecord:
-		// One record per plan cell.
-		if n := RecordCount(records); n != h.Cells {
-			return incomplete(n)
-		}
-		return nil
-	case []ColDisturbRecord:
-		// One run of (distance, stripe) records per plan cell; runs group
-		// by aggressor-cell identity and all runs share one length.
+	return d.verify(h, records)
+}
+
+func incompleteErr(h SweepHeader, covered int) error {
+	return fmt.Errorf("core: incomplete sweep: records cover %d of %d plan cells", covered, h.Cells)
+}
+
+// oneRecordPerCell is the completeness rule of kinds that emit exactly one
+// record per plan cell.
+func oneRecordPerCell[R any](h SweepHeader, recs []R) error {
+	if len(recs) != h.Cells {
+		return incompleteErr(h, len(recs))
+	}
+	return nil
+}
+
+// equalRuns is the completeness rule of kinds that emit a fixed-length run
+// of probe records per plan cell: runs group by the cell identity key
+// returns, and all runs share one length.
+func equalRuns[R any](key func(r *R) [5]int) func(SweepHeader, []R) error {
+	return func(h SweepHeader, recs []R) error {
 		runs, span := 0, -1
-		i := 0
-		for i < len(recs) {
-			key := [5]int{recs[i].Chip, recs[i].Channel, recs[i].Pseudo, recs[i].Bank, recs[i].Row}
-			j := i
-			for ; j < len(recs); j++ {
-				if [5]int{recs[j].Chip, recs[j].Channel, recs[j].Pseudo, recs[j].Bank, recs[j].Row} != key {
-					break
-				}
+		for i := 0; i < len(recs); {
+			k := key(&recs[i])
+			j := i + 1
+			for j < len(recs) && key(&recs[j]) == k {
+				j++
 			}
 			runs++
 			if span == -1 {
 				span = j - i
 			} else if j-i != span {
-				return fmt.Errorf("core: incomplete sweep: cell %v has %d of %d probe records", key, j-i, span)
+				return fmt.Errorf("core: incomplete sweep: cell %v has %d of %d probe records", k, j-i, span)
 			}
 			i = j
 		}
 		if runs != h.Cells {
-			return incomplete(runs)
+			return incompleteErr(h, runs)
 		}
 		return nil
-	case []AgingRecord:
-		return fmt.Errorf("core: aging sweeps stream their records only on completion; a file alone cannot prove the run finished")
 	}
-	return fmt.Errorf("core: unsupported record slice %T", records)
 }
 
-// verifyWCDPRuns validates the BER/HCFirst cell structure: records group
-// into runs by cell identity; a run whose measurements found a flip must
-// end with exactly one WCDP record (the derived worst-case row, always
-// emitted last); every run carries the same number of measurement
-// (non-WCDP) records, one per configured pattern; and the run count must
-// equal the header's plan cell count.
-func verifyWCDPRuns(h SweepHeader, n int, at func(i int) (key [5]int, wcdp, found bool)) error {
-	runs := 0
-	patterns := -1
-	i := 0
-	for i < n {
-		key, _, _ := at(i)
-		runs++
-		measured, anyFound, sawWCDP := 0, false, false
-		j := i
-		for ; j < n; j++ {
-			k, wcdp, found := at(j)
-			if k != key {
-				break
+// wcdpRuns is the completeness rule of the BER/HCFirst cell structure:
+// records group into runs by the cell identity cell returns; a run whose
+// measurements found a flip must end with exactly one WCDP record (the
+// derived worst-case row, always emitted last); every run carries the
+// same number of measurement (non-WCDP) records, one per configured
+// pattern; and the run count must equal the header's plan cell count.
+func wcdpRuns[R any](cell func(r *R) (key [5]int, wcdp, found bool)) func(SweepHeader, []R) error {
+	return func(h SweepHeader, recs []R) error {
+		runs := 0
+		patterns := -1
+		for i := 0; i < len(recs); {
+			key, _, _ := cell(&recs[i])
+			runs++
+			measured, anyFound, sawWCDP := 0, false, false
+			j := i
+			for ; j < len(recs); j++ {
+				k, wcdp, found := cell(&recs[j])
+				if k != key {
+					break
+				}
+				if sawWCDP {
+					return fmt.Errorf("core: malformed sweep: records after cell %v's WCDP record", key)
+				}
+				if wcdp {
+					sawWCDP = true
+					continue
+				}
+				measured++
+				if found {
+					anyFound = found
+				}
 			}
-			if sawWCDP {
-				return fmt.Errorf("core: malformed sweep: records after cell %v's WCDP record", key)
+			if anyFound && !sawWCDP {
+				return fmt.Errorf("core: incomplete sweep: cell %v is missing its WCDP record", key)
 			}
-			if wcdp {
-				sawWCDP = true
-				continue
+			if patterns == -1 {
+				patterns = measured
+			} else if measured != patterns {
+				return fmt.Errorf("core: incomplete sweep: cell %v has %d of %d pattern records", key, measured, patterns)
 			}
-			measured++
-			if found {
-				anyFound = found
-			}
+			i = j
 		}
-		if anyFound && !sawWCDP {
-			return fmt.Errorf("core: incomplete sweep: cell %v is missing its WCDP record", key)
+		if runs != h.Cells {
+			return incompleteErr(h, runs)
 		}
-		if patterns == -1 {
-			patterns = measured
-		} else if measured != patterns {
-			return fmt.Errorf("core: incomplete sweep: cell %v has %d of %d pattern records", key, measured, patterns)
-		}
-		i = j
+		return nil
 	}
-	if runs != h.Cells {
-		return fmt.Errorf("core: incomplete sweep: records cover %d of %d plan cells", runs, h.Cells)
-	}
-	return nil
 }

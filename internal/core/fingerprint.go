@@ -13,7 +13,7 @@ import (
 // in the header line of streamed JSONL files, and in hbmrdd sweep specs.
 type Kind string
 
-// The experiment kinds, one per sweep-shaped runner.
+// The experiment kinds, one per registered descriptor (see kinds.go).
 const (
 	KindBER         Kind = "ber"
 	KindHCFirst     Kind = "hcfirst"
@@ -26,13 +26,6 @@ const (
 	KindVRD         Kind = "vrd"
 	KindColDisturb  Kind = "coldist"
 )
-
-// Kinds lists every experiment kind, in a stable order.
-func Kinds() []Kind {
-	return []Kind{KindBER, KindHCFirst, KindHCNth, KindVariability,
-		KindRowPressBER, KindRowPressHC, KindBypass, KindAging,
-		KindVRD, KindColDisturb}
-}
 
 // CodeGeneration is the fault-model behaviour generation baked into every
 // sweep fingerprint. The golden sweep digests (golden_test.go at the repo
@@ -90,109 +83,11 @@ func fingerprintSweep(kind Kind, fleet []*TestChip, cfg any) (string, error) {
 // running anything. It resolves the config's defaults on a copy, exactly
 // as the runner would, so a caller (the hbmrdd service, a store lookup)
 // can decide whether an identical sweep already finished. cfg must be the
-// kind's config type, passed by value.
+// kind's config type, by value or by pointer.
 func FingerprintFor(kind Kind, fleet []*TestChip, cfg any) (string, error) {
-	g := fleetGeometry(fleet)
-	bad := func() (string, error) {
-		return "", fmt.Errorf("core: kind %s wants %s, got %T", kind, configTypeName(kind), cfg)
+	d, err := LookupKind(kind)
+	if err != nil {
+		return "", err
 	}
-	switch kind {
-	case KindBER:
-		c, ok := cfg.(BERConfig)
-		if !ok {
-			return bad()
-		}
-		c.fill(g)
-		return fingerprintSweep(kind, fleet, c)
-	case KindHCFirst:
-		c, ok := cfg.(HCFirstConfig)
-		if !ok {
-			return bad()
-		}
-		c.fill(g)
-		return fingerprintSweep(kind, fleet, c)
-	case KindHCNth:
-		c, ok := cfg.(HCNthConfig)
-		if !ok {
-			return bad()
-		}
-		c.fill(g)
-		return fingerprintSweep(kind, fleet, c)
-	case KindVariability:
-		c, ok := cfg.(VariabilityConfig)
-		if !ok {
-			return bad()
-		}
-		c.fill(g)
-		return fingerprintSweep(kind, fleet, c)
-	case KindRowPressBER:
-		c, ok := cfg.(RowPressBERConfig)
-		if !ok {
-			return bad()
-		}
-		c.fill(g)
-		return fingerprintSweep(kind, fleet, c)
-	case KindRowPressHC:
-		c, ok := cfg.(RowPressHCConfig)
-		if !ok {
-			return bad()
-		}
-		c.fill(g)
-		return fingerprintSweep(kind, fleet, c)
-	case KindBypass:
-		c, ok := cfg.(BypassConfig)
-		if !ok {
-			return bad()
-		}
-		c.fill(g, fleetTiming(fleet))
-		return fingerprintSweep(kind, fleet, c)
-	case KindAging:
-		c, ok := cfg.(AgingConfig)
-		if !ok {
-			return bad()
-		}
-		c.fill(g)
-		return fingerprintSweep(kind, fleet, c)
-	case KindVRD:
-		c, ok := cfg.(VRDConfig)
-		if !ok {
-			return bad()
-		}
-		c.fill(g)
-		return fingerprintSweep(kind, fleet, c)
-	case KindColDisturb:
-		c, ok := cfg.(ColDisturbConfig)
-		if !ok {
-			return bad()
-		}
-		c.fill(g)
-		return fingerprintSweep(kind, fleet, c)
-	}
-	return "", fmt.Errorf("core: unknown experiment kind %q", kind)
-}
-
-func configTypeName(kind Kind) string {
-	switch kind {
-	case KindBER:
-		return "BERConfig"
-	case KindHCFirst:
-		return "HCFirstConfig"
-	case KindHCNth:
-		return "HCNthConfig"
-	case KindVariability:
-		return "VariabilityConfig"
-	case KindRowPressBER:
-		return "RowPressBERConfig"
-	case KindRowPressHC:
-		return "RowPressHCConfig"
-	case KindBypass:
-		return "BypassConfig"
-	case KindAging:
-		return "AgingConfig"
-	case KindVRD:
-		return "VRDConfig"
-	case KindColDisturb:
-		return "ColDisturbConfig"
-	}
-	return "unknown config"
+	return d.fingerprint(fleet, cfg)
 }

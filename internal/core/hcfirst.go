@@ -26,7 +26,7 @@ type HCFirstConfig struct {
 	TOn hbm.TimePS
 }
 
-func (c *HCFirstConfig) fill(g hbm.Geometry) {
+func (c *HCFirstConfig) fill(g hbm.Geometry, _ hbm.Timing) {
 	if len(c.Channels) == 0 {
 		c.Channels = Channels(g.Channels)
 	}
@@ -77,29 +77,23 @@ func RunHCFirst(fleet []*TestChip, cfg HCFirstConfig) ([]HCFirstRecord, error) {
 // contributing its patterns in config order with the derived WCDP record
 // last - deterministically, independent of worker count.
 func RunHCFirstContext(ctx context.Context, fleet []*TestChip, cfg HCFirstConfig, opts ...RunOption) ([]HCFirstRecord, error) {
-	cfg.fill(fleetGeometry(fleet))
-	p := newPlan(fleet, cfg.Channels, cfg.Pseudos, cfg.Banks, len(cfg.Rows))
-	o := applyOpts(opts)
-	p, st, err := prepareSweep[HCFirstRecord](KindHCFirst, fleet, cfg, p, o, hcFirstSpan(len(cfg.Patterns)))
-	if err != nil {
-		return nil, err
-	}
-	return runSweep(ctx, p, o, st, func(_ context.Context, env *cellEnv, c Cell) ([]HCFirstRecord, error) {
-		ref := env.bank(c.Pseudo, c.Bank)
-		return hcFirstForRow(ref, c.Channel, cfg.Rows[c.Point], cfg)
-	})
+	return runKind(ctx, hcFirstKind, fleet, cfg, opts...)
 }
 
-func hcFirstForRow(ref bankRef, chIdx, row int, cfg HCFirstConfig) ([]HCFirstRecord, error) {
-	recs := make([]HCFirstRecord, 0, len(cfg.Patterns)+1)
+// measure runs one plan cell: every pattern on one victim row, then the
+// derived WCDP record when any pattern flipped.
+func (c *HCFirstConfig) measure(_ context.Context, env *cellEnv, cell Cell) ([]HCFirstRecord, error) {
+	ref := env.bank(cell.Pseudo, cell.Bank)
+	row := c.Rows[cell.Point]
+	recs := make([]HCFirstRecord, 0, len(c.Patterns)+1)
 	bestIdx := -1
-	for _, p := range cfg.Patterns {
-		hc, found, err := ref.hcSearchMin(row, p, 1, cfg.MinHammer, cfg.MaxHammer, cfg.Reps, cfg.TOn)
+	for _, p := range c.Patterns {
+		hc, found, err := ref.hcSearchMin(row, p, 1, c.MinHammer, c.MaxHammer, c.Reps, c.TOn)
 		if err != nil {
 			return nil, fmt.Errorf("row %d pattern %s: %w", row, p, err)
 		}
 		recs = append(recs, HCFirstRecord{
-			Chip: ref.tc.Index, Channel: chIdx, Pseudo: ref.pc, Bank: ref.bnk, Row: row,
+			Chip: ref.tc.Index, Channel: cell.Channel, Pseudo: ref.pc, Bank: ref.bnk, Row: row,
 			Pattern: p, HCFirst: hc, Found: found,
 		})
 		if found && (bestIdx < 0 || hc < recs[bestIdx].HCFirst) {

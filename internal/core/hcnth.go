@@ -28,7 +28,7 @@ type HCNthConfig struct {
 	TOn                  hbm.TimePS
 }
 
-func (c *HCNthConfig) fill(g hbm.Geometry) {
+func (c *HCNthConfig) fill(g hbm.Geometry, _ hbm.Timing) {
 	if len(c.Channels) == 0 {
 		c.Channels = []int{0, 1}
 	}
@@ -90,41 +90,30 @@ func RunHCNth(fleet []*TestChip, cfg HCNthConfig) ([]HCNthRecord, error) {
 // RunHCNthContext is RunHCNth with cancellation and execution options.
 // Records are in plan order: (chip, channel, row, pattern).
 func RunHCNthContext(ctx context.Context, fleet []*TestChip, cfg HCNthConfig, opts ...RunOption) ([]HCNthRecord, error) {
-	cfg.fill(fleetGeometry(fleet))
-	p := newPlan(fleet, cfg.Channels, []int{cfg.Pseudo}, []int{cfg.Bank}, len(cfg.Rows)*len(cfg.Patterns))
-	o := applyOpts(opts)
-	p, st, err := prepareSweep[HCNthRecord](KindHCNth, fleet, cfg, p, o, fixedSpan(1))
-	if err != nil {
-		return nil, err
-	}
-	return runSweep(ctx, p, o, st, func(_ context.Context, env *cellEnv, c Cell) ([]HCNthRecord, error) {
-		row := cfg.Rows[c.Point/len(cfg.Patterns)]
-		pat := cfg.Patterns[c.Point%len(cfg.Patterns)]
-		ref := env.bank(c.Pseudo, c.Bank)
-		rec, err := hcNthForRow(ref, c.Channel, row, pat, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return []HCNthRecord{rec}, nil
-	})
+	return runKind(ctx, hcNthKind, fleet, cfg, opts...)
 }
 
-func hcNthForRow(ref bankRef, chIdx, row int, p pattern.Pattern, cfg HCNthConfig) (HCNthRecord, error) {
-	rec := HCNthRecord{Chip: ref.tc.Index, Channel: chIdx, Row: row, Pattern: p}
-	lo := cfg.MinHammer
-	for k := 1; k <= cfg.MaxFlips; k++ {
-		hc, found, err := ref.hcSearch(row, p, k, lo, cfg.MaxHammer, cfg.TOn)
+// measure runs one plan cell: the first MaxFlips flips of one (row,
+// pattern) pair.
+func (c *HCNthConfig) measure(_ context.Context, env *cellEnv, cell Cell) ([]HCNthRecord, error) {
+	ref := env.bank(cell.Pseudo, cell.Bank)
+	row := c.Rows[cell.Point/len(c.Patterns)]
+	p := c.Patterns[cell.Point%len(c.Patterns)]
+	rec := HCNthRecord{Chip: ref.tc.Index, Channel: cell.Channel, Row: row, Pattern: p}
+	lo := c.MinHammer
+	for k := 1; k <= c.MaxFlips; k++ {
+		hc, found, err := ref.hcSearch(row, p, k, lo, c.MaxHammer, c.TOn)
 		if err != nil {
-			return rec, fmt.Errorf("row %d pattern %s flip %d: %w", row, p, k, err)
+			return nil, fmt.Errorf("row %d pattern %s flip %d: %w", row, p, k, err)
 		}
 		if !found {
-			return rec, nil
+			return []HCNthRecord{rec}, nil
 		}
 		rec.HC = append(rec.HC, hc)
 		lo = hc
 	}
 	rec.Found = true
-	return rec, nil
+	return []HCNthRecord{rec}, nil
 }
 
 // Fig12Stats computes, per chip, the Pearson correlation between HCfirst

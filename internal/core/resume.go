@@ -162,6 +162,9 @@ func fixedSpan(n int) spanFunc {
 	}
 }
 
+// oneRecordSpan is the span rule of runners emitting one record per cell.
+func oneRecordSpan[C any](*C) spanFunc { return fixedSpan(1) }
+
 // hcFirstSpan covers RunHCFirst: one record per pattern, plus a derived
 // WCDP record whenever any pattern found a flip. Which case applies is
 // read back from the prefix's own Found flags.

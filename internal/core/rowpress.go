@@ -41,7 +41,7 @@ type RowPressBERConfig struct {
 	RetentionReps int
 }
 
-func (c *RowPressBERConfig) fill(g hbm.Geometry) {
+func (c *RowPressBERConfig) fill(g hbm.Geometry, _ hbm.Timing) {
 	if len(c.Channels) == 0 {
 		c.Channels = Channels(g.Channels)
 	}
@@ -82,25 +82,15 @@ func RunRowPressBER(fleet []*TestChip, cfg RowPressBERConfig) ([]RowPressBERReco
 // RunRowPressBERContext is RunRowPressBER with cancellation and execution
 // options. Records are in plan order: (chip, channel, tAggON).
 func RunRowPressBERContext(ctx context.Context, fleet []*TestChip, cfg RowPressBERConfig, opts ...RunOption) ([]RowPressBERRecord, error) {
-	cfg.fill(fleetGeometry(fleet))
-	p := newPlan(fleet, cfg.Channels, []int{cfg.Pseudo}, []int{cfg.Bank}, len(cfg.TAggONs))
-	o := applyOpts(opts)
-	p, st, err := prepareSweep[RowPressBERRecord](KindRowPressBER, fleet, cfg, p, o, fixedSpan(1))
-	if err != nil {
-		return nil, err
-	}
-	return runSweep(ctx, p, o, st, func(ctx context.Context, env *cellEnv, c Cell) ([]RowPressBERRecord, error) {
-		ref := env.bank(c.Pseudo, c.Bank)
-		rec, err := rowPressBERPoint(ctx, ref, env.ch, c.Channel, cfg.TAggONs[c.Point], cfg)
-		if err != nil {
-			return nil, err
-		}
-		return []RowPressBERRecord{rec}, nil
-	})
+	return runKind(ctx, rowPressBERKind, fleet, cfg, opts...)
 }
 
-func rowPressBERPoint(ctx context.Context, ref bankRef, ch *hbm.Channel, chIdx int, tOn hbm.TimePS, cfg RowPressBERConfig) (RowPressBERRecord, error) {
-	rec := RowPressBERRecord{Chip: ref.tc.Index, Channel: chIdx, TAggON: tOn, Rows: len(cfg.Rows)}
+// measure runs one plan cell: every row at one tAggON, aggregated into
+// one record.
+func (c *RowPressBERConfig) measure(ctx context.Context, env *cellEnv, cell Cell) ([]RowPressBERRecord, error) {
+	ref := env.bank(cell.Pseudo, cell.Bank)
+	tOn := c.TAggONs[cell.Point]
+	rec := RowPressBERRecord{Chip: ref.tc.Index, Channel: cell.Channel, TAggON: tOn, Rows: len(c.Rows)}
 
 	// Experiment duration per row: 2*count activations of (tOn + tRP)-ish
 	// each; beyond the 32 ms refresh window retention failures creep in
@@ -110,27 +100,27 @@ func rowPressBERPoint(ctx context.Context, ref bankRef, ch *hbm.Channel, chIdx i
 	if tOn+t.TRP > perAct {
 		perAct = tOn + t.TRP
 	}
-	expDur := hbm.TimePS(2*cfg.HammerCount) * perAct
-	needFilter := !cfg.KeepRetention && expDur > t.TREFW
+	expDur := hbm.TimePS(2*c.HammerCount) * perAct
+	needFilter := !c.KeepRetention && expDur > t.TREFW
 
 	totalFlips, totalRetFlips := 0, 0
 	mask := make([]byte, ref.geom.RowBytes)
-	for _, row := range cfg.Rows {
+	for _, row := range c.Rows {
 		if err := ctx.Err(); err != nil {
-			return rec, err
+			return nil, err
 		}
 		for i := range mask {
 			mask[i] = 0
 		}
-		flips, err := ref.hammerAndCount(row, cfg.Pattern, cfg.HammerCount, tOn, mask)
+		flips, err := ref.hammerAndCount(row, c.Pattern, c.HammerCount, tOn, mask)
 		if err != nil {
-			return rec, err
+			return nil, err
 		}
 		if needFilter {
-			prof := &retention.Profiler{Chan: ch, PC: ref.pc, Bank: ref.bnk, Fill: cfg.Pattern.VictimByte()}
-			retMask, err := prof.RetentionMask(ref.logical(row), expDur, cfg.RetentionReps)
+			prof := &retention.Profiler{Chan: env.ch, PC: ref.pc, Bank: ref.bnk, Fill: c.Pattern.VictimByte()}
+			retMask, err := prof.RetentionMask(ref.logical(row), expDur, c.RetentionReps)
 			if err != nil {
-				return rec, err
+				return nil, err
 			}
 			for i := range mask {
 				both := mask[i] & retMask[i]
@@ -140,10 +130,10 @@ func rowPressBERPoint(ctx context.Context, ref bankRef, ch *hbm.Channel, chIdx i
 		}
 		totalFlips += flips
 	}
-	bits := float64(len(cfg.Rows) * ref.geom.RowBits())
-	rec.BERPercent = float64(totalFlips) / bits * 100
-	rec.RetentionBERPercent = float64(totalRetFlips) / bits * 100
-	return rec, nil
+	rowBits := float64(len(c.Rows) * ref.geom.RowBits())
+	rec.BERPercent = float64(totalFlips) / rowBits * 100
+	rec.RetentionBERPercent = float64(totalRetFlips) / rowBits * 100
+	return []RowPressBERRecord{rec}, nil
 }
 
 func popcountByte(b byte) int {
@@ -167,7 +157,7 @@ type RowPressHCConfig struct {
 	MaxHammer int
 }
 
-func (c *RowPressHCConfig) fill(g hbm.Geometry) {
+func (c *RowPressHCConfig) fill(g hbm.Geometry, _ hbm.Timing) {
 	if len(c.Channels) == 0 {
 		c.Channels = []int{0, 1, 2}
 	}
@@ -202,33 +192,29 @@ func RunRowPressHC(fleet []*TestChip, cfg RowPressHCConfig) ([]RowPressHCRecord,
 // RunRowPressHCContext is RunRowPressHC with cancellation and execution
 // options. Records are in plan order: (chip, channel, row, tAggON).
 func RunRowPressHCContext(ctx context.Context, fleet []*TestChip, cfg RowPressHCConfig, opts ...RunOption) ([]RowPressHCRecord, error) {
-	cfg.fill(fleetGeometry(fleet))
-	p := newPlan(fleet, cfg.Channels, []int{cfg.Pseudo}, []int{cfg.Bank}, len(cfg.Rows)*len(cfg.TAggONs))
-	o := applyOpts(opts)
-	p, st, err := prepareSweep[RowPressHCRecord](KindRowPressHC, fleet, cfg, p, o, fixedSpan(1))
+	return runKind(ctx, rowPressHCKind, fleet, cfg, opts...)
+}
+
+// measure runs one plan cell: one (row, tAggON) pair.
+func (c *RowPressHCConfig) measure(_ context.Context, env *cellEnv, cell Cell) ([]RowPressHCRecord, error) {
+	row := c.Rows[cell.Point/len(c.TAggONs)]
+	tOn := c.TAggONs[cell.Point%len(c.TAggONs)]
+	ref := env.bank(cell.Pseudo, cell.Bank)
+	t := env.tc.Chip.Timing()
+	hc, found, err := ref.hcSearch(row, pattern.Checkered0, 1, 1, c.MaxHammer, tOn)
 	if err != nil {
 		return nil, err
 	}
-	return runSweep(ctx, p, o, st, func(_ context.Context, env *cellEnv, c Cell) ([]RowPressHCRecord, error) {
-		row := cfg.Rows[c.Point/len(cfg.TAggONs)]
-		tOn := cfg.TAggONs[c.Point%len(cfg.TAggONs)]
-		ref := env.bank(c.Pseudo, c.Bank)
-		t := env.tc.Chip.Timing()
-		hc, found, err := ref.hcSearch(row, pattern.Checkered0, 1, 1, cfg.MaxHammer, tOn)
-		if err != nil {
-			return nil, err
-		}
-		// Window accounting uses the open time itself: the paper's extreme
-		// 16 ms point is chosen so each aggressor activates exactly once
-		// per tREFW (2 x 16 ms = the window).
-		tOnEff := tOn
-		if tOnEff < t.TRAS {
-			tOnEff = t.TRAS
-		}
-		return []RowPressHCRecord{{
-			Chip: env.tc.Index, Channel: c.Channel, Row: row, TAggON: tOn,
-			HCFirst: hc, Found: found,
-			WithinWindow: found && hbm.TimePS(2*hc)*tOnEff <= t.TREFW,
-		}}, nil
-	})
+	// Window accounting uses the open time itself: the paper's extreme
+	// 16 ms point is chosen so each aggressor activates exactly once
+	// per tREFW (2 x 16 ms = the window).
+	tOnEff := tOn
+	if tOnEff < t.TRAS {
+		tOnEff = t.TRAS
+	}
+	return []RowPressHCRecord{{
+		Chip: env.tc.Index, Channel: cell.Channel, Row: row, TAggON: tOn,
+		HCFirst: hc, Found: found,
+		WithinWindow: found && hbm.TimePS(2*hc)*tOnEff <= t.TREFW,
+	}}, nil
 }

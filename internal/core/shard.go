@@ -60,81 +60,14 @@ func ShardFingerprint(parent string, start, end int) string {
 // PlanSize reports the plan cell count a Run*Context call with this kind,
 // fleet and config would enumerate, without running anything - the bound
 // a coordinator needs to split the plan into shard ranges. It resolves
-// config defaults on a copy exactly as the runner would. Aging has no
-// single shardable plan (it composes two inner sweeps) and returns an
-// error. TestPlanSizeMatchesRunners pins this arithmetic against the
-// runners' actual plans.
+// config defaults on a copy and multiplies the same plan axes the runner
+// hands to newPlan, so it equals the runner's plan by construction. Aging
+// has no single shardable plan (it composes two inner sweeps) and returns
+// an error.
 func PlanSize(kind Kind, fleet []*TestChip, cfg any) (int, error) {
-	g := fleetGeometry(fleet)
-	bad := func() (int, error) {
-		return 0, fmt.Errorf("core: kind %s wants %s, got %T", kind, configTypeName(kind), cfg)
+	d, err := LookupKind(kind)
+	if err != nil {
+		return 0, err
 	}
-	switch kind {
-	case KindBER:
-		c, ok := cfg.(BERConfig)
-		if !ok {
-			return bad()
-		}
-		c.fill(g)
-		return len(fleet) * len(c.Channels) * len(c.Pseudos) * len(c.Banks) * len(c.Rows), nil
-	case KindHCFirst:
-		c, ok := cfg.(HCFirstConfig)
-		if !ok {
-			return bad()
-		}
-		c.fill(g)
-		return len(fleet) * len(c.Channels) * len(c.Pseudos) * len(c.Banks) * len(c.Rows), nil
-	case KindHCNth:
-		c, ok := cfg.(HCNthConfig)
-		if !ok {
-			return bad()
-		}
-		c.fill(g)
-		return len(fleet) * len(c.Channels) * len(c.Rows) * len(c.Patterns), nil
-	case KindVariability:
-		c, ok := cfg.(VariabilityConfig)
-		if !ok {
-			return bad()
-		}
-		c.fill(g)
-		return len(fleet) * len(c.Rows), nil
-	case KindRowPressBER:
-		c, ok := cfg.(RowPressBERConfig)
-		if !ok {
-			return bad()
-		}
-		c.fill(g)
-		return len(fleet) * len(c.Channels) * len(c.TAggONs), nil
-	case KindRowPressHC:
-		c, ok := cfg.(RowPressHCConfig)
-		if !ok {
-			return bad()
-		}
-		c.fill(g)
-		return len(fleet) * len(c.Channels) * len(c.Rows) * len(c.TAggONs), nil
-	case KindBypass:
-		c, ok := cfg.(BypassConfig)
-		if !ok {
-			return bad()
-		}
-		c.fill(g, fleetTiming(fleet))
-		return len(fleet) * len(c.DummyCounts) * len(c.AggActs) * len(c.Victims), nil
-	case KindAging:
-		return 0, fmt.Errorf("core: aging sweeps compose two inner sweeps and have no single shardable plan")
-	case KindVRD:
-		c, ok := cfg.(VRDConfig)
-		if !ok {
-			return bad()
-		}
-		c.fill(g)
-		return len(fleet) * len(c.Channels) * len(c.Pseudos) * len(c.Banks) * len(c.Rows), nil
-	case KindColDisturb:
-		c, ok := cfg.(ColDisturbConfig)
-		if !ok {
-			return bad()
-		}
-		c.fill(g)
-		return len(fleet) * len(c.AggRows), nil
-	}
-	return 0, fmt.Errorf("core: unknown experiment kind %q", kind)
+	return d.planSize(fleet, cfg)
 }

@@ -202,7 +202,8 @@ func TestShardResumeByteIdentity(t *testing.T) {
 }
 
 // TestShardValidation: out-of-range and empty shard ranges are rejected,
-// and aging refuses sharding outright.
+// aging refuses sharding outright and has no plan size, and PlanSize
+// rejects a config of the wrong kind.
 func TestShardValidation(t *testing.T) {
 	t.Parallel()
 	cfg := resumeBERConfig()
@@ -216,6 +217,12 @@ func TestShardValidation(t *testing.T) {
 	if _, err := RunAgingContext(context.Background(), smallFleet(t, 0), AgingConfig{},
 		WithShard(ShardRange{0, 1})); err == nil || !strings.Contains(err.Error(), "cannot be sharded") {
 		t.Errorf("aging accepted a shard: err = %v", err)
+	}
+	if _, err := PlanSize(KindAging, smallFleet(t, 0), AgingConfig{}); err == nil {
+		t.Error("PlanSize accepted aging")
+	}
+	if _, err := PlanSize(KindBER, smallFleet(t, 0), HCFirstConfig{}); err == nil {
+		t.Error("PlanSize accepted a mismatched config type")
 	}
 }
 
@@ -235,79 +242,42 @@ func TestShardFingerprint(t *testing.T) {
 	}
 }
 
-// TestPlanSizeMatchesRunners pins PlanSize's arithmetic against the plans
-// the runners actually build: for every shardable kind, the header.Cells a
-// tiny sweep stamps must equal PlanSize for the same fleet and config.
+// TestPlanSizeMatchesRunners: for every shardable kind, the header.Cells
+// a tiny sweep stamps when run through its registered descriptor - the
+// path hbmrdd takes - equals PlanSize for the same fleet and config.
 func TestPlanSizeMatchesRunners(t *testing.T) {
 	t.Parallel()
 	preset, err := hbm.LookupPreset(hbm.PresetHBM2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := preset.Geometry
-	rows := SampleRowsIn(g, 2)
+	rows := SampleRowsIn(preset.Geometry, 2)
 	pats := []pattern.Pattern{pattern.Rowstripe0, pattern.Checkered0}
-	ctx := context.Background()
-	cases := []struct {
-		kind Kind
-		cfg  any
-		run  func(fleet []*TestChip, opts ...RunOption) error
-	}{
-		{KindBER, BERConfig{Channels: []int{0}, Rows: rows, Patterns: pats, HammerCount: 30_000, Reps: 1},
-			func(fleet []*TestChip, opts ...RunOption) error {
-				_, err := RunBERContext(ctx, fleet, BERConfig{Channels: []int{0}, Rows: rows, Patterns: pats, HammerCount: 30_000, Reps: 1}, opts...)
-				return err
-			}},
-		{KindHCFirst, HCFirstConfig{Channels: []int{0}, Rows: rows[:1], Patterns: pats, Reps: 1},
-			func(fleet []*TestChip, opts ...RunOption) error {
-				_, err := RunHCFirstContext(ctx, fleet, HCFirstConfig{Channels: []int{0}, Rows: rows[:1], Patterns: pats, Reps: 1}, opts...)
-				return err
-			}},
-		{KindHCNth, HCNthConfig{Channels: []int{0}, Rows: rows[:1], Patterns: pats[:1], MaxFlips: 3},
-			func(fleet []*TestChip, opts ...RunOption) error {
-				_, err := RunHCNthContext(ctx, fleet, HCNthConfig{Channels: []int{0}, Rows: rows[:1], Patterns: pats[:1], MaxFlips: 3}, opts...)
-				return err
-			}},
-		{KindVariability, VariabilityConfig{Rows: rows[:1], Iterations: 3},
-			func(fleet []*TestChip, opts ...RunOption) error {
-				_, err := RunVariabilityContext(ctx, fleet, VariabilityConfig{Rows: rows[:1], Iterations: 3}, opts...)
-				return err
-			}},
-		{KindRowPressBER, RowPressBERConfig{Channels: []int{0}, Rows: rows, TAggONs: []hbm.TimePS{29 * hbm.NS}, HammerCount: 2_000, RetentionReps: 1},
-			func(fleet []*TestChip, opts ...RunOption) error {
-				_, err := RunRowPressBERContext(ctx, fleet, RowPressBERConfig{Channels: []int{0}, Rows: rows, TAggONs: []hbm.TimePS{29 * hbm.NS}, HammerCount: 2_000, RetentionReps: 1}, opts...)
-				return err
-			}},
-		{KindRowPressHC, RowPressHCConfig{Channels: []int{0}, Rows: rows[:1], TAggONs: []hbm.TimePS{29 * hbm.NS}, MaxHammer: 60_000},
-			func(fleet []*TestChip, opts ...RunOption) error {
-				_, err := RunRowPressHCContext(ctx, fleet, RowPressHCConfig{Channels: []int{0}, Rows: rows[:1], TAggONs: []hbm.TimePS{29 * hbm.NS}, MaxHammer: 60_000}, opts...)
-				return err
-			}},
-		{KindBypass, BypassConfig{Victims: rows[:1], DummyCounts: []int{1, 2}, AggActs: []int{18}, Windows: 32},
-			func(fleet []*TestChip, opts ...RunOption) error {
-				_, err := RunBypassContext(ctx, fleet, BypassConfig{Victims: rows[:1], DummyCounts: []int{1, 2}, AggActs: []int{18}, Windows: 32}, opts...)
-				return err
-			}},
-		{KindVRD, VRDConfig{Rows: rows, Trials: 2},
-			func(fleet []*TestChip, opts ...RunOption) error {
-				_, err := RunVRDContext(ctx, fleet, VRDConfig{Rows: rows, Trials: 2}, opts...)
-				return err
-			}},
-		{KindColDisturb, ColDisturbConfig{AggRows: rows, Distances: []int{1, 2}, Stripes: []int{2}, Reads: 4_000, MaxReads: 1 << 16},
-			func(fleet []*TestChip, opts ...RunOption) error {
-				_, err := RunColDisturbContext(ctx, fleet, ColDisturbConfig{AggRows: rows, Distances: []int{1, 2}, Stripes: []int{2}, Reads: 4_000, MaxReads: 1 << 16}, opts...)
-				return err
-			}},
+	cfgs := map[Kind]any{
+		KindBER:         BERConfig{Channels: []int{0}, Rows: rows, Patterns: pats, HammerCount: 30_000, Reps: 1},
+		KindHCFirst:     HCFirstConfig{Channels: []int{0}, Rows: rows[:1], Patterns: pats, Reps: 1},
+		KindHCNth:       HCNthConfig{Channels: []int{0}, Rows: rows[:1], Patterns: pats[:1], MaxFlips: 3},
+		KindVariability: VariabilityConfig{Rows: rows[:1], Iterations: 3},
+		KindRowPressBER: RowPressBERConfig{Channels: []int{0}, Rows: rows, TAggONs: []hbm.TimePS{29 * hbm.NS}, HammerCount: 2_000, RetentionReps: 1},
+		KindRowPressHC:  RowPressHCConfig{Channels: []int{0}, Rows: rows[:1], TAggONs: []hbm.TimePS{29 * hbm.NS}, MaxHammer: 60_000},
+		KindBypass:      BypassConfig{Victims: rows[:1], DummyCounts: []int{1, 2}, AggActs: []int{18}, Windows: 32},
+		KindVRD:         VRDConfig{Rows: rows, Trials: 2},
+		KindColDisturb:  ColDisturbConfig{AggRows: rows, Distances: []int{1, 2}, Stripes: []int{2}, Reads: 4_000, MaxReads: 1 << 16},
 	}
-	for _, tc := range cases {
-		t.Run(string(tc.kind), func(t *testing.T) {
+	for kind, cfg := range cfgs {
+		kind, cfg := kind, cfg
+		t.Run(string(kind), func(t *testing.T) {
 			fleet := roundTripFleet(t, preset)
-			want, err := PlanSize(tc.kind, fleet, tc.cfg)
+			want, err := PlanSize(kind, fleet, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := LookupKind(kind)
 			if err != nil {
 				t.Fatal(err)
 			}
 			hs := &headerCaptureSink{}
-			if err := tc.run(fleet, WithJobs(1), WithSink(hs)); err != nil {
+			if _, err := d.Run(context.Background(), fleet, cfg, WithJobs(1), WithSink(hs)); err != nil {
 				t.Fatal(err)
 			}
 			if !hs.got {
@@ -317,12 +287,6 @@ func TestPlanSizeMatchesRunners(t *testing.T) {
 				t.Errorf("PlanSize = %d, runner plan = %d cells", want, hs.h.Cells)
 			}
 		})
-	}
-	if _, err := PlanSize(KindAging, roundTripFleet(t, preset), AgingConfig{}); err == nil {
-		t.Error("PlanSize accepted aging")
-	}
-	if _, err := PlanSize(KindBER, roundTripFleet(t, preset), HCFirstConfig{}); err == nil {
-		t.Error("PlanSize accepted a mismatched config type")
 	}
 }
 

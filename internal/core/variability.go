@@ -22,7 +22,7 @@ type VariabilityConfig struct {
 	TOn                  hbm.TimePS
 }
 
-func (c *VariabilityConfig) fill(g hbm.Geometry) {
+func (c *VariabilityConfig) fill(g hbm.Geometry, _ hbm.Timing) {
 	if len(c.Rows) == 0 {
 		c.Rows = SampleRowsIn(g, 16)
 	}
@@ -65,36 +65,32 @@ func RunVariability(fleet []*TestChip, cfg VariabilityConfig) ([]VariabilityReco
 // RunVariabilityContext is RunVariability with cancellation and execution
 // options. Records are in plan order: (chip, row).
 func RunVariabilityContext(ctx context.Context, fleet []*TestChip, cfg VariabilityConfig, opts ...RunOption) ([]VariabilityRecord, error) {
-	cfg.fill(fleetGeometry(fleet))
-	p := newPlan(fleet, []int{cfg.Channel}, []int{cfg.Pseudo}, []int{cfg.Bank}, len(cfg.Rows))
-	o := applyOpts(opts)
-	p, st, err := prepareSweep[VariabilityRecord](KindVariability, fleet, cfg, p, o, fixedSpan(1))
-	if err != nil {
-		return nil, err
-	}
-	return runSweep(ctx, p, o, st, func(ctx context.Context, env *cellEnv, c Cell) ([]VariabilityRecord, error) {
-		ref := env.bank(c.Pseudo, c.Bank)
-		row := cfg.Rows[c.Point]
-		rec := VariabilityRecord{Chip: env.tc.Index, Row: row, Iterations: cfg.Iterations}
-		for it := 0; it < cfg.Iterations; it++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			hc, found, err := ref.hcSearch(row, cfg.Pattern, 1, cfg.MinHammer, cfg.MaxHammer, cfg.TOn)
-			if err != nil {
-				return nil, err
-			}
-			if !found {
-				continue
-			}
-			if !rec.MeasuredRatios || hc < rec.MinHC {
-				rec.MinHC = hc
-			}
-			if hc > rec.MaxHC {
-				rec.MaxHC = hc
-			}
-			rec.MeasuredRatios = true
+	return runKind(ctx, variabilityKind, fleet, cfg, opts...)
+}
+
+// measure runs one plan cell: every iteration on one row.
+func (c *VariabilityConfig) measure(ctx context.Context, env *cellEnv, cell Cell) ([]VariabilityRecord, error) {
+	ref := env.bank(cell.Pseudo, cell.Bank)
+	row := c.Rows[cell.Point]
+	rec := VariabilityRecord{Chip: env.tc.Index, Row: row, Iterations: c.Iterations}
+	for it := 0; it < c.Iterations; it++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		return []VariabilityRecord{rec}, nil
-	})
+		hc, found, err := ref.hcSearch(row, c.Pattern, 1, c.MinHammer, c.MaxHammer, c.TOn)
+		if err != nil {
+			return nil, err
+		}
+		if !found {
+			continue
+		}
+		if !rec.MeasuredRatios || hc < rec.MinHC {
+			rec.MinHC = hc
+		}
+		if hc > rec.MaxHC {
+			rec.MaxHC = hc
+		}
+		rec.MeasuredRatios = true
+	}
+	return []VariabilityRecord{rec}, nil
 }

@@ -38,7 +38,7 @@ type VRDConfig struct {
 	TOn                  hbm.TimePS
 }
 
-func (c *VRDConfig) fill(g hbm.Geometry) {
+func (c *VRDConfig) fill(g hbm.Geometry, _ hbm.Timing) {
 	if len(c.Channels) == 0 {
 		c.Channels = []int{0}
 	}
@@ -105,56 +105,52 @@ func RunVRD(fleet []*TestChip, cfg VRDConfig) ([]VRDRecord, error) {
 // RunVRDContext is RunVRD with cancellation and execution options.
 // Records are in plan order: (chip, channel, pseudo, bank, row).
 func RunVRDContext(ctx context.Context, fleet []*TestChip, cfg VRDConfig, opts ...RunOption) ([]VRDRecord, error) {
-	cfg.fill(fleetGeometry(fleet))
-	p := newPlan(fleet, cfg.Channels, cfg.Pseudos, cfg.Banks, len(cfg.Rows))
-	o := applyOpts(opts)
-	p, st, err := prepareSweep[VRDRecord](KindVRD, fleet, cfg, p, o, fixedSpan(1))
-	if err != nil {
-		return nil, err
+	return runKind(ctx, vrdKind, fleet, cfg, opts...)
+}
+
+// measure runs one plan cell: every trial on one victim row.
+func (c *VRDConfig) measure(ctx context.Context, env *cellEnv, cell Cell) ([]VRDRecord, error) {
+	ref := env.bank(cell.Pseudo, cell.Bank)
+	row := c.Rows[cell.Point]
+	rec := VRDRecord{
+		Chip: env.tc.Index, Channel: cell.Channel, Pseudo: cell.Pseudo, Bank: cell.Bank,
+		Row: row, Pattern: c.Pattern, Trials: c.Trials,
+		HCs: make([]int, c.Trials),
 	}
-	return runSweep(ctx, p, o, st, func(ctx context.Context, env *cellEnv, c Cell) ([]VRDRecord, error) {
-		ref := env.bank(c.Pseudo, c.Bank)
-		row := cfg.Rows[c.Point]
-		rec := VRDRecord{
-			Chip: env.tc.Index, Channel: c.Channel, Pseudo: c.Pseudo, Bank: c.Bank,
-			Row: row, Pattern: cfg.Pattern, Trials: cfg.Trials,
-			HCs: make([]int, cfg.Trials),
+	sum := 0
+	for t := 0; t < c.Trials; t++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		sum := 0
-		for t := 0; t < cfg.Trials; t++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			hc, found, err := ref.hcSearch(row, cfg.Pattern, 1, cfg.MinHammer, cfg.MaxHammer, cfg.TOn)
-			if err != nil {
-				return nil, err
-			}
-			if !found {
-				continue
-			}
-			rec.HCs[t] = hc
-			if rec.Found == 0 || hc < rec.MinHC {
-				rec.MinHC = hc
-			}
-			if hc > rec.MaxHC {
-				rec.MaxHC = hc
-			}
-			rec.Found++
-			sum += hc
+		hc, found, err := ref.hcSearch(row, c.Pattern, 1, c.MinHammer, c.MaxHammer, c.TOn)
+		if err != nil {
+			return nil, err
 		}
-		if rec.Found > 0 {
-			rec.MeanHC = float64(sum) / float64(rec.Found)
-			found := make([]int, 0, rec.Found)
-			for _, hc := range rec.HCs {
-				if hc > 0 {
-					found = append(found, hc)
-				}
-			}
-			sort.Ints(found)
-			rec.PHC = found[percentileRank(cfg.Percentile, len(found))]
+		if !found {
+			continue
 		}
-		return []VRDRecord{rec}, nil
-	})
+		rec.HCs[t] = hc
+		if rec.Found == 0 || hc < rec.MinHC {
+			rec.MinHC = hc
+		}
+		if hc > rec.MaxHC {
+			rec.MaxHC = hc
+		}
+		rec.Found++
+		sum += hc
+	}
+	if rec.Found > 0 {
+		rec.MeanHC = float64(sum) / float64(rec.Found)
+		found := make([]int, 0, rec.Found)
+		for _, hc := range rec.HCs {
+			if hc > 0 {
+				found = append(found, hc)
+			}
+		}
+		sort.Ints(found)
+		rec.PHC = found[percentileRank(c.Percentile, len(found))]
+	}
+	return []VRDRecord{rec}, nil
 }
 
 // percentileRank converts a percentile (0..100] into a nearest-rank index

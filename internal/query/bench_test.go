@@ -108,3 +108,25 @@ func BenchmarkColumnarDecode(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkColumnarEncode measures the transcode the store runs at every
+// finalize: a typed record slice to the columnar artifact bytes, over the
+// same records BenchmarkColumnarDecode reads back.
+func BenchmarkColumnarEncode(b *testing.B) {
+	n := 16 * 1024
+	recs := benchHCFirstRecords(n)
+	h := core.SweepHeader{Format: 1, Kind: string(core.KindHCFirst), Fingerprint: benchSweepFP, Cells: n, Generation: 1}
+	var art bytes.Buffer
+	if err := core.EncodeColumnar(&art, h, recs); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(art.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		art.Reset()
+		if err := core.EncodeColumnar(&art, h, recs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -9,219 +9,58 @@ import (
 // ComputeColumnar runs one aggregation directly over a sweep's columnar
 // artifact: filters evaluate as column scans, group keys read the
 // dimension arrays, and reducers consume the metric arrays - no typed
-// record slice and no per-record row maps are ever materialized. It
-// feeds the same computeOver pipeline as Compute, so for the same
-// records and Env the two produce byte-identical Aggregates; Compute
-// over the decoded JSONL stays the reference oracle.
+// record slice and no per-record row maps are ever materialized. Compute
+// over decoded records transposes them into the same columns and reads
+// them through the same accessors, so for the same records and Env the
+// two produce byte-identical Aggregates.
 func ComputeColumnar(cs *core.ColumnSet, spec Spec, env Env) (*Aggregate, error) {
 	cspec, err := spec.Canonical()
 	if err != nil {
 		return nil, err
 	}
-	src, err := columnarSource(cs, env)
+	kind := core.Kind(cs.Header.Kind)
+	src, err := columnarSource(kind, cs, env)
 	if err != nil {
 		return nil, err
 	}
-	return computeOver(core.Kind(cs.Header.Kind), src, cspec)
+	return computeOver(kind, src, cspec)
 }
 
-// columnarSource builds the per-kind dimension and metric accessors over
-// a decoded column set. The formatting of every dimension value matches
-// flatten exactly - dInt/dInt64/dBool/dStr over the same inputs - which
-// is what keeps group keys, sort order, and aggregate bytes identical
-// across the two paths.
-func columnarSource(cs *core.ColumnSet, env Env) (rowSource, error) {
-	kind := core.Kind(cs.Header.Kind)
-	dims := map[string]func(i int) dimVal{}
-	mets := map[string]func(i int) (float64, bool){}
-
-	var missing []string
-	need := func(name string) *core.Column {
-		c := cs.Col(name)
-		if c == nil {
-			missing = append(missing, name)
-		}
-		return c
+// columnarSource serves a kind's declared dimensions and metrics (see
+// kindFields) over a column set. Each accessor is built on first request
+// from the typed columns its field names; the set must carry the kind's
+// registered schema, as every set DecodeColumnar or ExtractColumns returns
+// does.
+func columnarSource(kind core.Kind, cs *core.ColumnSet, env Env) (rowSource, error) {
+	fields, ok := kindFields[kind]
+	if !ok {
+		return rowSource{}, fmt.Errorf("query: unsupported sweep kind %q", kind)
 	}
-	intDim := func(c *core.Column) func(int) dimVal {
-		return func(i int) dimVal { return dInt(int(c.Int(i))) }
-	}
-	int64Dim := func(c *core.Column) func(int) dimVal {
-		return func(i int) dimVal { return dInt64(c.Int(i)) }
-	}
-	boolDim := func(c *core.Column) func(int) dimVal {
-		return func(i int) dimVal { return dBool(c.Bool(i)) }
-	}
-	floatMet := func(c *core.Column) func(int) (float64, bool) {
-		return func(i int) (float64, bool) { return c.Float(i), true }
-	}
-	intMet := func(c *core.Column) func(int) (float64, bool) {
-		return func(i int) (float64, bool) { return float64(c.Int(i)), true }
-	}
-	// patternCols wires the shared (pattern, pattern_label, wcdp) triple;
-	// wcdp is nil for kinds whose records carry no WCDP flag (the label
-	// then always equals the pattern, as flatten's wcdp=false does).
-	patternCols := func(pat, wcdp *core.Column) {
-		dims["pattern"] = func(i int) dimVal { return dStr(pat.Label(i)) }
-		dims["pattern_label"] = func(i int) dimVal {
-			if wcdp != nil && wcdp.Bool(i) {
-				return dStr("WCDP")
+	find := func(name string, dim bool) (field, []*core.Column) {
+		for _, f := range fields {
+			if f.name == name && (f.dim != nil) == dim {
+				cols := make([]*core.Column, len(f.cols))
+				for i, n := range f.cols {
+					cols[i] = cs.Col(n)
+				}
+				return f, cols
 			}
-			return dStr(pat.Label(i))
 		}
-		if wcdp != nil {
-			dims["wcdp"] = boolDim(wcdp)
-		}
+		return field{}, nil
 	}
-	rankDim := func(bank *core.Column) func(int) dimVal {
-		return func(i int) dimVal { return dInt(env.rankOf(int(bank.Int(i)))) }
-	}
-
-	switch kind {
-	case core.KindBER:
-		bank := need("Bank")
-		dims["chip"] = intDim(need("Chip"))
-		dims["channel"] = intDim(need("Channel"))
-		dims["pseudo"] = intDim(need("Pseudo"))
-		dims["bank"] = intDim(bank)
-		dims["rank"] = rankDim(bank)
-		dims["row"] = intDim(need("Row"))
-		patternCols(need("Pattern"), need("WCDP"))
-		mets["ber_percent"] = floatMet(need("BERPercent"))
-	case core.KindHCFirst:
-		bank := need("Bank")
-		dims["chip"] = intDim(need("Chip"))
-		dims["channel"] = intDim(need("Channel"))
-		dims["pseudo"] = intDim(need("Pseudo"))
-		dims["bank"] = intDim(bank)
-		dims["rank"] = rankDim(bank)
-		dims["row"] = intDim(need("Row"))
-		dims["found"] = boolDim(need("Found"))
-		patternCols(need("Pattern"), need("WCDP"))
-		mets["hcfirst"] = intMet(need("HCFirst"))
-	case core.KindHCNth:
-		dims["chip"] = intDim(need("Chip"))
-		dims["channel"] = intDim(need("Channel"))
-		dims["row"] = intDim(need("Row"))
-		dims["found"] = boolDim(need("Found"))
-		patternCols(need("Pattern"), nil)
-		hc := need("HC")
-		mets["flips"] = func(i int) (float64, bool) { return float64(len(hc.IntLists[i])), true }
-		mets["hc_first"] = func(i int) (float64, bool) {
-			l := hc.IntLists[i]
-			if len(l) == 0 {
-				return 0, false
-			}
-			return float64(l[0]), true
-		}
-		mets["hc_last"] = func(i int) (float64, bool) {
-			l := hc.IntLists[i]
-			if len(l) == 0 {
-				return 0, false
-			}
-			return float64(l[len(l)-1]), true
-		}
-		mets["additional"] = func(i int) (float64, bool) {
-			l := hc.IntLists[i]
-			if len(l) == 0 {
-				return 0, false
-			}
-			return float64(l[len(l)-1] - l[0]), true
-		}
-	case core.KindVariability:
-		dims["chip"] = intDim(need("Chip"))
-		dims["row"] = intDim(need("Row"))
-		dims["measured"] = boolDim(need("MeasuredRatios"))
-		minHC, maxHC := need("MinHC"), need("MaxHC")
-		mets["min_hc"] = intMet(minHC)
-		mets["max_hc"] = intMet(maxHC)
-		mets["ratio"] = func(i int) (float64, bool) {
-			mn := minHC.Int(i)
-			if mn == 0 {
-				return 0, true
-			}
-			return float64(maxHC.Int(i)) / float64(mn), true
-		}
-	case core.KindRowPressBER:
-		dims["chip"] = intDim(need("Chip"))
-		dims["channel"] = intDim(need("Channel"))
-		dims["tagg_on"] = int64Dim(need("TAggON"))
-		mets["ber_percent"] = floatMet(need("BERPercent"))
-		mets["retention_ber_percent"] = floatMet(need("RetentionBERPercent"))
-		mets["rows"] = intMet(need("Rows"))
-	case core.KindRowPressHC:
-		dims["chip"] = intDim(need("Chip"))
-		dims["channel"] = intDim(need("Channel"))
-		dims["row"] = intDim(need("Row"))
-		dims["tagg_on"] = int64Dim(need("TAggON"))
-		dims["found"] = boolDim(need("Found"))
-		dims["within_window"] = boolDim(need("WithinWindow"))
-		mets["hcfirst"] = intMet(need("HCFirst"))
-	case core.KindBypass:
-		dims["chip"] = intDim(need("Chip"))
-		dims["row"] = intDim(need("Row"))
-		dims["dummies"] = intDim(need("Dummies"))
-		dims["agg_acts"] = intDim(need("AggActs"))
-		mets["ber_percent"] = floatMet(need("BERPercent"))
-	case core.KindAging:
-		dims["chip"] = intDim(need("Chip"))
-		dims["channel"] = intDim(need("Channel"))
-		dims["row"] = intDim(need("Row"))
-		oldBER, newBER := need("OldBERPercent"), need("NewBERPercent")
-		mets["old_ber_percent"] = floatMet(oldBER)
-		mets["new_ber_percent"] = floatMet(newBER)
-		mets["delta_ber_percent"] = func(i int) (float64, bool) {
-			return newBER.Float(i) - oldBER.Float(i), true
-		}
-	case core.KindVRD:
-		bank := need("Bank")
-		dims["chip"] = intDim(need("Chip"))
-		dims["channel"] = intDim(need("Channel"))
-		dims["pseudo"] = intDim(need("Pseudo"))
-		dims["bank"] = intDim(bank)
-		dims["rank"] = rankDim(bank)
-		dims["row"] = intDim(need("Row"))
-		patternCols(need("Pattern"), nil)
-		found := need("Found")
-		dims["measured"] = func(i int) dimVal { return dBool(found.Int(i) > 0) }
-		minHC, maxHC := need("MinHC"), need("MaxHC")
-		mets["min_hc"] = intMet(minHC)
-		mets["max_hc"] = intMet(maxHC)
-		mets["mean_hc"] = floatMet(need("MeanHC"))
-		mets["phc"] = intMet(need("PHC"))
-		mets["ratio"] = func(i int) (float64, bool) {
-			mn := minHC.Int(i)
-			if mn == 0 {
-				return 0, true
-			}
-			return float64(maxHC.Int(i)) / float64(mn), true
-		}
-		mets["found"] = intMet(found)
-		mets["trials"] = intMet(need("Trials"))
-	case core.KindColDisturb:
-		bank := need("Bank")
-		dims["chip"] = intDim(need("Chip"))
-		dims["channel"] = intDim(need("Channel"))
-		dims["pseudo"] = intDim(need("Pseudo"))
-		dims["bank"] = intDim(bank)
-		dims["rank"] = rankDim(bank)
-		dims["row"] = intDim(need("Row"))
-		dims["distance"] = intDim(need("Distance"))
-		dims["stripe"] = intDim(need("Stripe"))
-		dims["found"] = boolDim(need("Found"))
-		mets["flips"] = intMet(need("Flips"))
-		mets["first_disturb"] = intMet(need("FirstDisturb"))
-		mets["reads"] = intMet(need("Reads"))
-	default:
-		return rowSource{}, fmt.Errorf("query: unsupported columnar sweep kind %q", cs.Header.Kind)
-	}
-	if len(missing) > 0 {
-		return rowSource{}, fmt.Errorf("query: columnar %s sweep lacks columns %v", kind, missing)
-	}
-
 	return rowSource{
-		n:      cs.Len(),
-		dim:    func(name string) func(i int) dimVal { return dims[name] },
-		metric: func(name string) func(i int) (float64, bool) { return mets[name] },
+		n: cs.Len(),
+		dim: func(name string) func(i int) dimVal {
+			if f, cols := find(name, true); f.dim != nil {
+				return f.dim(cols, env)
+			}
+			return nil
+		},
+		metric: func(name string) func(i int) (float64, bool) {
+			if f, cols := find(name, false); f.met != nil {
+				return f.met(cols)
+			}
+			return nil
+		},
 	}, nil
 }

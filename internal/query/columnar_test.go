@@ -67,6 +67,24 @@ func equivRecords() map[core.Kind]any {
 			{Chip: 0, Channel: 1, Row: 11, OldBERPercent: 1, NewBERPercent: 0.5},
 			{Chip: 3, Channel: 0, Row: 10, OldBERPercent: 0, NewBERPercent: 0},
 		},
+		core.KindVRD: []core.VRDRecord{
+			{Chip: 0, Channel: 0, Pseudo: 0, Bank: 0, Row: 10, Pattern: pattern.Rowstripe0, Trials: 3,
+				Found: 3, MinHC: 12000, MaxHC: 19000, MeanHC: 15000.5, PHC: 19000, HCs: []int{12000, 19000, 14001}},
+			// Found 0: measured is false and the ratio's MinHC is 0.
+			{Chip: 0, Channel: 1, Pseudo: 1, Bank: 17, Row: 11, Pattern: pattern.Rowstripe0, Trials: 3,
+				HCs: []int{0, 0, 0}},
+			{Chip: 3, Channel: 0, Pseudo: 0, Bank: 47, Row: 12, Pattern: pattern.Checkered1, Trials: 2,
+				Found: 1, MinHC: 30000, MaxHC: 30000, MeanHC: 30000, PHC: 30000, HCs: []int{0, 30000}},
+		},
+		core.KindColDisturb: []core.ColDisturbRecord{
+			{Chip: 0, Channel: 0, Pseudo: 0, Bank: 0, Row: 100, Distance: 1, Stripe: 2, Reads: 10000,
+				Flips: 7, ColFlips: []int{3, 0, 4}, FirstDisturb: 2500, Found: true},
+			// Not found, with a nil and an empty per-column list.
+			{Chip: 0, Channel: 0, Pseudo: 0, Bank: 16, Row: 100, Distance: 8, Stripe: 2, Reads: 10000,
+				ColFlips: nil},
+			{Chip: 3, Channel: 1, Pseudo: 1, Bank: 33, Row: 200, Distance: -3, Stripe: 8, Reads: 10000,
+				ColFlips: []int{}},
+		},
 	}
 }
 
@@ -83,6 +101,8 @@ func equivSpecs(t *testing.T, kind core.Kind, sweep string) []Spec {
 		core.KindRowPressBER: {"fig14"},
 		core.KindRowPressHC:  {"fig15"},
 		core.KindBypass:      {"fig16"},
+		core.KindVRD:         {"figvrd"},
+		core.KindColDisturb:  {"figcoldist"},
 	}
 	var specs []Spec
 	for _, fig := range figsByKind[kind] {
@@ -127,12 +147,13 @@ func equivSpecs(t *testing.T, kind core.Kind, sweep string) []Spec {
 	return specs
 }
 
-// TestColumnarComputeEquivalence pins the tentpole's correctness claim:
-// ComputeColumnar over the encoded artifact produces Aggregate JSON
-// byte-identical to the flatten reference (ComputeEnv) for every figure
-// preset applicable to each kind, under every preset geometry's rank
-// environment. The flatten path is the oracle; any divergence is a bug
-// in the columnar path.
+// TestColumnarComputeEquivalence pins the query vocabulary's correctness
+// for every registered kind: ComputeColumnar over the encoded artifact
+// and ComputeEnv over the typed records both produce Aggregate JSON
+// byte-identical to the flatten reference (computeFlatten) for every
+// figure preset applicable to each kind, under every preset geometry's
+// rank environment. The flatten path is the oracle; any divergence is a
+// bug in the field table or the column accessors.
 func TestColumnarComputeEquivalence(t *testing.T) {
 	t.Parallel()
 	envs := []Env{{}}
@@ -144,7 +165,13 @@ func TestColumnarComputeEquivalence(t *testing.T) {
 		envs = append(envs, Env{BanksPerRank: p.Geometry.Banks})
 	}
 	sweep := "sha256:" + strings.Repeat("ef", 32)
-	for kind, recs := range equivRecords() {
+	all := equivRecords()
+	for _, kind := range core.Kinds() {
+		if _, ok := all[kind]; !ok {
+			t.Errorf("equivRecords has no %s records", kind)
+		}
+	}
+	for kind, recs := range all {
 		kind, recs := kind, recs
 		t.Run(string(kind), func(t *testing.T) {
 			t.Parallel()
@@ -157,27 +184,52 @@ func TestColumnarComputeEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// Every declared name is one the oracle's rows carry.
+			rows, err := flatten(kind, recs, Env{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			carried := map[string]bool{}
+			for _, r := range rows {
+				for k := range r.dims {
+					carried[k] = true
+				}
+				for k := range r.metrics {
+					carried[k] = true
+				}
+			}
+			for _, name := range append(Dimensions(kind), Metrics(kind)...) {
+				if !carried[name] {
+					t.Errorf("%s declares %s, which no flattened record carries", kind, name)
+				}
+			}
 			for _, env := range envs {
 				for _, spec := range equivSpecs(t, kind, sweep) {
-					ref, err := ComputeEnv(kind, recs, spec, env)
+					ref, err := computeFlatten(kind, recs, spec, env)
 					if err != nil {
-						t.Fatalf("ComputeEnv(%+v): %v", spec, err)
-					}
-					col, err := ComputeColumnar(cs, spec, env)
-					if err != nil {
-						t.Fatalf("ComputeColumnar(%+v): %v", spec, err)
+						t.Fatalf("computeFlatten(%+v): %v", spec, err)
 					}
 					refJSON, err := json.Marshal(ref)
 					if err != nil {
 						t.Fatal(err)
 					}
-					colJSON, err := json.Marshal(col)
+					col, err := ComputeColumnar(cs, spec, env)
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("ComputeColumnar(%+v): %v", spec, err)
 					}
-					if !bytes.Equal(refJSON, colJSON) {
-						t.Fatalf("paths diverge for env %+v spec %+v:\nflatten:  %s\ncolumnar: %s",
-							env, spec, refJSON, colJSON)
+					fromRecs, err := ComputeEnv(kind, recs, spec, env)
+					if err != nil {
+						t.Fatalf("ComputeEnv(%+v): %v", spec, err)
+					}
+					for path, agg := range map[string]*Aggregate{"columnar": col, "records": fromRecs} {
+						got, err := json.Marshal(agg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(refJSON, got) {
+							t.Fatalf("%s path diverges from flatten for env %+v spec %+v:\nflatten: %s\n%s: %s",
+								path, env, spec, refJSON, path, got)
+						}
 					}
 				}
 			}

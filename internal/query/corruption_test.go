@@ -2,6 +2,7 @@ package query
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"hbmrd/internal/core"
 	"hbmrd/internal/store"
 	"hbmrd/internal/telemetry"
 )
@@ -54,6 +56,10 @@ func TestCorruptColumnarTwinFallsBackToJSONL(t *testing.T) {
 		// A torn twin (crashed writer, partial disk): decode fails mid-
 		// payload.
 		{"truncated", func(b []byte) []byte { return b[:len(b)/2] }},
+		// Every column name matches the kind's schema, but Chip is
+		// declared a float column with a well-formed 8-byte-per-row
+		// payload: it parses, yet an integer accessor would find no ints.
+		{"mistyped", func(b []byte) []byte { return retypeColumn(t, b, "Chip", core.ColFloat) }},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -167,4 +173,43 @@ func TestRejectedSpecDoesNotQuarantineTwin(t *testing.T) {
 	if res.Source != SourceColumnar {
 		t.Errorf("Source after rejected spec = %s, want %s", res.Source, SourceColumnar)
 	}
+}
+
+// retypeColumn rewrites one column of a columnar artifact as a column of
+// type typ (ColFloat: zero bits, 8 bytes per row), leaving the header,
+// row count and every other column as they were.
+func retypeColumn(t *testing.T, b []byte, name string, typ uint8) []byte {
+	t.Helper()
+	pos := 5 // magic and version
+	uv := func() int {
+		v, n := binary.Uvarint(b[pos:])
+		if n <= 0 {
+			t.Fatal("malformed artifact")
+		}
+		pos += n
+		return int(v)
+	}
+	hl := uv()
+	pos += hl
+	rows := uv()
+	ncols := uv()
+	for c := 0; c < ncols; c++ {
+		start := pos
+		nl := uv()
+		col := string(b[pos : pos+nl])
+		pos += nl + 1 // name, type byte
+		pos += uv()   // payload
+		if col != name {
+			continue
+		}
+		out := append([]byte(nil), b[:start]...)
+		out = binary.AppendUvarint(out, uint64(len(name)))
+		out = append(out, name...)
+		out = append(out, typ)
+		out = binary.AppendUvarint(out, uint64(8*rows))
+		out = append(out, make([]byte, 8*rows)...)
+		return append(out, b[pos:]...)
+	}
+	t.Fatalf("artifact has no column %s", name)
+	return nil
 }

@@ -13,7 +13,7 @@
 // path from stored bytes to aggregate bytes must be deterministic:
 //
 //   - records decode in stream order, which is plan order by the engine's
-//     contract, so the flattened row set has one fixed order;
+//     contract, so the rows the pipeline reads have one fixed order;
 //   - groups are keyed and sorted by their formatted key values (numeric
 //     dimensions compare numerically), never by map iteration order;
 //   - reducers come from internal/stats, which is pure over its input
@@ -31,14 +31,15 @@
 // # Cold-path selection
 //
 // On a derived-cache miss the engine has two ways to compute an
-// aggregate: decode the stored JSONL into records and flatten them
-// (the reference path), or stream the store's columnar twin
-// (results.hbmc) directly into the group-by/filter/reduce loop without
-// materializing records. Both paths implement the same rowSource
-// interface and feed the single computeOver pipeline, so they are
-// byte-identical by construction (asserted per figure preset by
-// TestColumnarComputeEquivalence and forced through both paths by the
-// query-smoke CI gate). Engine.Run prefers the columnar artifact and
+// aggregate: stream the store's columnar twin (results.hbmc) directly
+// into the group-by/filter/reduce loop without materializing records, or
+// decode the stored JSONL into records and transpose them into the same
+// columns (core.ExtractColumns). Either way one column set is read through
+// the accessors each kind's fields declare (kindFields) and feeds the
+// single computeOver pipeline, so the paths are byte-identical by
+// construction (checked against a test-only row-map oracle per figure
+// preset by TestColumnarComputeEquivalence, and forced through both paths
+// by the query-smoke CI gate). Engine.Run prefers the columnar artifact and
 // falls back to JSONL when it is missing or unreadable, backfilling the
 // twin afterwards; Result.Source reports which path answered. Dimensions
 // derived from the sweep's recorded geometry (the rank axis,
@@ -61,7 +62,6 @@ import (
 
 	"hbmrd/internal/core"
 	"hbmrd/internal/hbm"
-	"hbmrd/internal/pattern"
 	"hbmrd/internal/stats"
 	"hbmrd/internal/store"
 	"hbmrd/internal/telemetry"
@@ -242,8 +242,8 @@ func DerivedKey(s Spec) (string, error) {
 	return "sha256:" + hex.EncodeToString(sum[:]), nil
 }
 
-// dimVal is one dimension value of a flattened record: formatted for
-// grouping and output, numeric for ordering and comparisons.
+// dimVal is one dimension value of a record: formatted for grouping and
+// output, numeric for ordering and comparisons.
 type dimVal struct {
 	str   string
 	num   float64
@@ -257,85 +257,6 @@ func dInt64(v int64) dimVal {
 func dBool(v bool) dimVal  { return dimVal{str: strconv.FormatBool(v)} }
 func dStr(s string) dimVal { return dimVal{str: s} }
 
-// row is one flattened record: named dimensions plus named metrics.
-type row struct {
-	dims    map[string]dimVal
-	metrics map[string]float64
-}
-
-// patternDims is the shared (pattern, pattern_label, wcdp) triple of the
-// BER-shaped records. pattern_label folds WCDP into the pattern axis the
-// way the paper's figures label it.
-func patternDims(d map[string]dimVal, p pattern.Pattern, wcdp bool) {
-	d["pattern"] = dStr(p.String())
-	label := p.String()
-	if wcdp {
-		label = "WCDP"
-	}
-	d["pattern_label"] = dStr(label)
-	d["wcdp"] = dBool(wcdp)
-}
-
-// Dimensions lists the group-by/filter vocabulary of a kind's records,
-// sorted. The plan's generic "point" axis appears here as the concrete
-// dimensions it decodes to (row, tagg_on, dummies, agg_acts, ...).
-func Dimensions(kind core.Kind) []string {
-	var dims []string
-	switch kind {
-	case core.KindBER:
-		dims = []string{"chip", "channel", "pseudo", "bank", "rank", "row", "pattern", "pattern_label", "wcdp"}
-	case core.KindHCFirst:
-		dims = []string{"chip", "channel", "pseudo", "bank", "rank", "row", "pattern", "pattern_label", "wcdp", "found"}
-	case core.KindHCNth:
-		dims = []string{"chip", "channel", "row", "pattern", "pattern_label", "found"}
-	case core.KindVariability:
-		dims = []string{"chip", "row", "measured"}
-	case core.KindRowPressBER:
-		dims = []string{"chip", "channel", "tagg_on"}
-	case core.KindRowPressHC:
-		dims = []string{"chip", "channel", "row", "tagg_on", "found", "within_window"}
-	case core.KindBypass:
-		dims = []string{"chip", "row", "dummies", "agg_acts"}
-	case core.KindAging:
-		dims = []string{"chip", "channel", "row"}
-	case core.KindVRD:
-		dims = []string{"chip", "channel", "pseudo", "bank", "rank", "row", "pattern", "pattern_label", "measured"}
-	case core.KindColDisturb:
-		dims = []string{"chip", "channel", "pseudo", "bank", "rank", "row", "distance", "stripe", "found"}
-	}
-	sort.Strings(dims)
-	return dims
-}
-
-// Metrics lists the aggregatable value fields of a kind's records, sorted.
-func Metrics(kind core.Kind) []string {
-	var ms []string
-	switch kind {
-	case core.KindBER:
-		ms = []string{"ber_percent"}
-	case core.KindHCFirst:
-		ms = []string{"hcfirst"}
-	case core.KindHCNth:
-		ms = []string{"hc_first", "hc_last", "additional", "flips"}
-	case core.KindVariability:
-		ms = []string{"min_hc", "max_hc", "ratio"}
-	case core.KindRowPressBER:
-		ms = []string{"ber_percent", "retention_ber_percent", "rows"}
-	case core.KindRowPressHC:
-		ms = []string{"hcfirst"}
-	case core.KindBypass:
-		ms = []string{"ber_percent"}
-	case core.KindAging:
-		ms = []string{"old_ber_percent", "new_ber_percent", "delta_ber_percent"}
-	case core.KindVRD:
-		ms = []string{"min_hc", "max_hc", "mean_hc", "phc", "ratio", "found", "trials"}
-	case core.KindColDisturb:
-		ms = []string{"flips", "first_disturb", "reads"}
-	}
-	sort.Strings(ms)
-	return ms
-}
-
 func hasName(names []string, want string) bool {
 	for _, n := range names {
 		if n == want {
@@ -345,154 +266,16 @@ func hasName(names []string, want string) bool {
 	return false
 }
 
-// flatten decodes a kind's typed record slice (the shape DecodeRecords
-// returns) into the generic row model the pipeline groups and reduces.
-// Row order is record order, which is plan order.
-func flatten(kind core.Kind, records any, env Env) ([]row, error) {
-	var rows []row
-	add := func(dims map[string]dimVal, metrics map[string]float64) {
-		rows = append(rows, row{dims: dims, metrics: metrics})
-	}
-	switch recs := records.(type) {
-	case []core.BERRecord:
-		for _, r := range recs {
-			d := map[string]dimVal{
-				"chip": dInt(r.Chip), "channel": dInt(r.Channel), "pseudo": dInt(r.Pseudo),
-				"bank": dInt(r.Bank), "rank": dInt(env.rankOf(r.Bank)), "row": dInt(r.Row),
-			}
-			patternDims(d, r.Pattern, r.WCDP)
-			add(d, map[string]float64{"ber_percent": r.BERPercent})
-		}
-	case []core.HCFirstRecord:
-		for _, r := range recs {
-			d := map[string]dimVal{
-				"chip": dInt(r.Chip), "channel": dInt(r.Channel), "pseudo": dInt(r.Pseudo),
-				"bank": dInt(r.Bank), "rank": dInt(env.rankOf(r.Bank)), "row": dInt(r.Row),
-				"found": dBool(r.Found),
-			}
-			patternDims(d, r.Pattern, r.WCDP)
-			add(d, map[string]float64{"hcfirst": float64(r.HCFirst)})
-		}
-	case []core.HCNthRecord:
-		for _, r := range recs {
-			d := map[string]dimVal{
-				"chip": dInt(r.Chip), "channel": dInt(r.Channel), "row": dInt(r.Row),
-				"found": dBool(r.Found),
-			}
-			patternDims(d, r.Pattern, false)
-			m := map[string]float64{"flips": float64(len(r.HC))}
-			if len(r.HC) > 0 {
-				m["hc_first"] = float64(r.HC[0])
-				m["hc_last"] = float64(r.HC[len(r.HC)-1])
-				m["additional"] = float64(r.Additional())
-			}
-			add(d, m)
-		}
-	case []core.VariabilityRecord:
-		for _, r := range recs {
-			d := map[string]dimVal{
-				"chip": dInt(r.Chip), "row": dInt(r.Row), "measured": dBool(r.MeasuredRatios),
-			}
-			add(d, map[string]float64{
-				"min_hc": float64(r.MinHC), "max_hc": float64(r.MaxHC), "ratio": r.Ratio(),
-			})
-		}
-	case []core.RowPressBERRecord:
-		for _, r := range recs {
-			d := map[string]dimVal{
-				"chip": dInt(r.Chip), "channel": dInt(r.Channel), "tagg_on": dInt64(int64(r.TAggON)),
-			}
-			add(d, map[string]float64{
-				"ber_percent": r.BERPercent, "retention_ber_percent": r.RetentionBERPercent,
-				"rows": float64(r.Rows),
-			})
-		}
-	case []core.RowPressHCRecord:
-		for _, r := range recs {
-			d := map[string]dimVal{
-				"chip": dInt(r.Chip), "channel": dInt(r.Channel), "row": dInt(r.Row),
-				"tagg_on": dInt64(int64(r.TAggON)), "found": dBool(r.Found),
-				"within_window": dBool(r.WithinWindow),
-			}
-			add(d, map[string]float64{"hcfirst": float64(r.HCFirst)})
-		}
-	case []core.BypassRecord:
-		for _, r := range recs {
-			d := map[string]dimVal{
-				"chip": dInt(r.Chip), "row": dInt(r.Row),
-				"dummies": dInt(r.Dummies), "agg_acts": dInt(r.AggActs),
-			}
-			add(d, map[string]float64{"ber_percent": r.BERPercent})
-		}
-	case []core.AgingRecord:
-		for _, r := range recs {
-			d := map[string]dimVal{
-				"chip": dInt(r.Chip), "channel": dInt(r.Channel), "row": dInt(r.Row),
-			}
-			add(d, map[string]float64{
-				"old_ber_percent": r.OldBERPercent, "new_ber_percent": r.NewBERPercent,
-				"delta_ber_percent": r.NewBERPercent - r.OldBERPercent,
-			})
-		}
-	case []core.VRDRecord:
-		for _, r := range recs {
-			d := map[string]dimVal{
-				"chip": dInt(r.Chip), "channel": dInt(r.Channel), "pseudo": dInt(r.Pseudo),
-				"bank": dInt(r.Bank), "rank": dInt(env.rankOf(r.Bank)), "row": dInt(r.Row),
-				"measured": dBool(r.Found > 0),
-			}
-			patternDims(d, r.Pattern, false)
-			add(d, map[string]float64{
-				"min_hc": float64(r.MinHC), "max_hc": float64(r.MaxHC), "mean_hc": r.MeanHC,
-				"phc": float64(r.PHC), "ratio": r.Ratio(),
-				"found": float64(r.Found), "trials": float64(r.Trials),
-			})
-		}
-	case []core.ColDisturbRecord:
-		for _, r := range recs {
-			d := map[string]dimVal{
-				"chip": dInt(r.Chip), "channel": dInt(r.Channel), "pseudo": dInt(r.Pseudo),
-				"bank": dInt(r.Bank), "rank": dInt(env.rankOf(r.Bank)), "row": dInt(r.Row),
-				"distance": dInt(r.Distance), "stripe": dInt(r.Stripe), "found": dBool(r.Found),
-			}
-			add(d, map[string]float64{
-				"flips": float64(r.Flips), "first_disturb": float64(r.FirstDisturb),
-				"reads": float64(r.Reads),
-			})
-		}
-	default:
-		return nil, fmt.Errorf("query: unsupported record slice %T for kind %s", records, kind)
-	}
-	return rows, nil
-}
-
-// rowSource feeds computeOver one record at a time without dictating the
-// backing representation: the flatten path serves map lookups over []row,
-// the columnar path serves typed array reads. dim and metric resolve a
-// name to a per-row accessor once, so the hot loop does no map lookups by
-// name; a metric accessor's second return is false when the record does
-// not carry that metric (sparse metrics like hc_first of an HCNth record
-// that never flipped).
+// rowSource feeds computeOver one record at a time: columnarSource serves
+// typed column reads, and the test oracle serves map lookups over
+// flattened rows. dim and metric resolve a name to a per-row accessor
+// once, so the hot loop does no map lookups by name; a metric accessor's
+// second return is false when the record does not carry that metric
+// (sparse metrics like hc_first of an HCNth record that never flipped).
 type rowSource struct {
 	n      int
 	dim    func(name string) func(i int) dimVal
 	metric func(name string) func(i int) (float64, bool)
-}
-
-// rowsSource adapts the flattened row model to the source interface.
-func rowsSource(rows []row) rowSource {
-	return rowSource{
-		n: len(rows),
-		dim: func(name string) func(i int) dimVal {
-			return func(i int) dimVal { return rows[i].dims[name] }
-		},
-		metric: func(name string) func(i int) (float64, bool) {
-			return func(i int) (float64, bool) {
-				mv, ok := rows[i].metrics[name]
-				return mv, ok
-			}
-		},
-	}
 }
 
 // fmtNum formats a float the way keys and cells render: integers in full
@@ -574,9 +357,10 @@ type Aggregate struct {
 
 // Compute runs one canonicalized aggregation over a kind's decoded record
 // slice. It is the pure pipeline under Engine.Run - no store, no cache -
-// and is deterministic per the package contract. It is also the reference
-// oracle for the columnar path: ComputeColumnar must produce the same
-// Aggregate bytes for the same records under the same Env.
+// and is deterministic per the package contract: it transposes the
+// records into columns and reads them exactly as ComputeColumnar reads a
+// decoded artifact, so both produce the same Aggregate bytes for the same
+// records under the same Env.
 func Compute(kind core.Kind, records any, spec Spec) (*Aggregate, error) {
 	return ComputeEnv(kind, records, spec, Env{})
 }
@@ -588,18 +372,21 @@ func ComputeEnv(kind core.Kind, records any, spec Spec, env Env) (*Aggregate, er
 	if err != nil {
 		return nil, err
 	}
-	rows, err := flatten(kind, records, env)
+	cs, err := core.ExtractColumns(kind, records)
 	if err != nil {
 		return nil, err
 	}
-	return computeOver(kind, rowsSource(rows), cspec)
+	src, err := columnarSource(kind, cs, env)
+	if err != nil {
+		return nil, err
+	}
+	return computeOver(kind, src, cspec)
 }
 
-// computeOver is the single filter/group/reduce pipeline both record
-// representations feed. It pre-resolves every accessor the spec touches -
-// filter operands, group-key dimensions, the metric - so the flatten and
-// columnar paths share the loop below verbatim and cannot drift apart.
-// cspec must already be canonical.
+// computeOver is the single filter/group/reduce pipeline every row source
+// feeds. It pre-resolves every accessor the spec touches - filter
+// operands, group-key dimensions, the metric - so the loop below does no
+// lookups by name. cspec must already be canonical.
 func computeOver(kind core.Kind, src rowSource, cspec Spec) (*Aggregate, error) {
 	dims, metrics := Dimensions(kind), Metrics(kind)
 	for _, g := range cspec.GroupBy {

@@ -26,9 +26,8 @@ import (
 // that feeds the fingerprint is in the spec, so identical specs hit the
 // store.
 type SweepSpec struct {
-	// Kind selects the experiment ("ber", "hcfirst", "hcnth",
-	// "variability", "rowpress-ber", "rowpress-hc", "bypass", "aging",
-	// "vrd", "coldist").
+	// Kind selects the experiment: one of core.Kinds() ("ber",
+	// "hcfirst", ...).
 	Kind string `json:"kind"`
 	// Chips are the study chip indices (default: all six).
 	Chips []int `json:"chips,omitempty"`
@@ -133,110 +132,13 @@ func Resolve(spec SweepSpec) (*Sweep, error) {
 
 	s := &Sweep{Spec: spec, Kind: kind, Geometry: preset.Name,
 		Ranks: g.NumRanks(), DataRateMbps: preset.DataRateMbps, Chips: chips}
-	var cfg any
-	switch kind {
-	case core.KindBER:
-		c := core.BERConfig{}
-		if err := decodeConfig(spec.Config, &c); err != nil {
-			return nil, err
-		}
-		cfg = c
-		s.run = func(ctx context.Context, opts ...core.RunOption) error {
-			_, err := core.RunBERContext(ctx, fleet, c, opts...)
-			return err
-		}
-	case core.KindHCFirst:
-		c := core.HCFirstConfig{}
-		if err := decodeConfig(spec.Config, &c); err != nil {
-			return nil, err
-		}
-		cfg = c
-		s.run = func(ctx context.Context, opts ...core.RunOption) error {
-			_, err := core.RunHCFirstContext(ctx, fleet, c, opts...)
-			return err
-		}
-	case core.KindHCNth:
-		c := core.HCNthConfig{}
-		if err := decodeConfig(spec.Config, &c); err != nil {
-			return nil, err
-		}
-		cfg = c
-		s.run = func(ctx context.Context, opts ...core.RunOption) error {
-			_, err := core.RunHCNthContext(ctx, fleet, c, opts...)
-			return err
-		}
-	case core.KindVariability:
-		c := core.VariabilityConfig{}
-		if err := decodeConfig(spec.Config, &c); err != nil {
-			return nil, err
-		}
-		cfg = c
-		s.run = func(ctx context.Context, opts ...core.RunOption) error {
-			_, err := core.RunVariabilityContext(ctx, fleet, c, opts...)
-			return err
-		}
-	case core.KindRowPressBER:
-		c := core.RowPressBERConfig{}
-		if err := decodeConfig(spec.Config, &c); err != nil {
-			return nil, err
-		}
-		cfg = c
-		s.run = func(ctx context.Context, opts ...core.RunOption) error {
-			_, err := core.RunRowPressBERContext(ctx, fleet, c, opts...)
-			return err
-		}
-	case core.KindRowPressHC:
-		c := core.RowPressHCConfig{}
-		if err := decodeConfig(spec.Config, &c); err != nil {
-			return nil, err
-		}
-		cfg = c
-		s.run = func(ctx context.Context, opts ...core.RunOption) error {
-			_, err := core.RunRowPressHCContext(ctx, fleet, c, opts...)
-			return err
-		}
-	case core.KindBypass:
-		c := core.BypassConfig{}
-		if err := decodeConfig(spec.Config, &c); err != nil {
-			return nil, err
-		}
-		cfg = c
-		s.run = func(ctx context.Context, opts ...core.RunOption) error {
-			_, err := core.RunBypassContext(ctx, fleet, c, opts...)
-			return err
-		}
-	case core.KindAging:
-		c := core.AgingConfig{}
-		if err := decodeConfig(spec.Config, &c); err != nil {
-			return nil, err
-		}
-		cfg = c
-		s.run = func(ctx context.Context, opts ...core.RunOption) error {
-			_, err := core.RunAgingContext(ctx, fleet, c, opts...)
-			return err
-		}
-	case core.KindVRD:
-		c := core.VRDConfig{}
-		if err := decodeConfig(spec.Config, &c); err != nil {
-			return nil, err
-		}
-		cfg = c
-		s.run = func(ctx context.Context, opts ...core.RunOption) error {
-			_, err := core.RunVRDContext(ctx, fleet, c, opts...)
-			return err
-		}
-	case core.KindColDisturb:
-		c := core.ColDisturbConfig{}
-		if err := decodeConfig(spec.Config, &c); err != nil {
-			return nil, err
-		}
-		cfg = c
-		s.run = func(ctx context.Context, opts ...core.RunOption) error {
-			_, err := core.RunColDisturbContext(ctx, fleet, c, opts...)
-			return err
-		}
-	default:
+	d, err := core.LookupKind(kind)
+	if err != nil {
 		return nil, fmt.Errorf("serve: unknown sweep kind %q (have: %v)", spec.Kind, core.Kinds())
+	}
+	cfg := d.NewConfig()
+	if err := decodeConfig(spec.Config, cfg); err != nil {
+		return nil, err
 	}
 
 	fp, err := core.FingerprintFor(kind, fleet, cfg)
@@ -247,6 +149,7 @@ func Resolve(spec SweepSpec) (*Sweep, error) {
 	if cells, err := core.PlanSize(kind, fleet, cfg); err == nil {
 		s.Cells = cells
 	}
+	var shard []core.RunOption
 	if spec.Shard != nil {
 		sh := *spec.Shard
 		if s.Cells == 0 {
@@ -258,10 +161,11 @@ func Resolve(spec SweepSpec) (*Sweep, error) {
 		s.Parent = fp
 		s.ShardStart, s.ShardEnd = sh.Start, sh.End
 		s.Fingerprint = core.ShardFingerprint(fp, sh.Start, sh.End)
-		inner := s.run
-		s.run = func(ctx context.Context, opts ...core.RunOption) error {
-			return inner(ctx, append(opts, core.WithShard(core.ShardRange{Start: sh.Start, End: sh.End}))...)
-		}
+		shard = append(shard, core.WithShard(core.ShardRange{Start: sh.Start, End: sh.End}))
+	}
+	s.run = func(ctx context.Context, opts ...core.RunOption) error {
+		_, err := d.Run(ctx, fleet, cfg, append(opts, shard...)...)
+		return err
 	}
 	return s, nil
 }

@@ -37,12 +37,12 @@ import (
 // defaultBench selects the kernels that bound sweep throughput, one
 // end-to-end figure benchmark, the query read path (cold-miss
 // aggregation through both stored representations plus the columnar
-// artifact decode), the distributed fabric (shard-stream merge,
+// artifact decode and encode), the distributed fabric (shard-stream merge,
 // 2-worker-vs-local sweep throughput, and the coordinator control-plane
 // overhead with its polls/sweep and poll-wait-share metrics), and the
 // telemetry overhead pair (enabled-vs-disabled on the fault-model
 // kernel and the engine cell loop; allocs/op must stay 0).
-const defaultBench = "FlipMaskHot|FlipMaskRetention|FlipMaskFirstTouch|CalibFirstTouch|TrialJitter|Fig5HCFirstAcrossChips|RowInitReadHotPath|HammerReadHotPath|HammerThroughput|SweepJobsScaling|StrictTimingRowOps|QueryFig5ColdMiss|ColumnarDecode|ShardMerge|FabricSweep|FabricOverhead|TelemetryOverhead"
+const defaultBench = "FlipMaskHot|FlipMaskRetention|FlipMaskFirstTouch|CalibFirstTouch|TrialJitter|Fig5HCFirstAcrossChips|RowInitReadHotPath|HammerReadHotPath|HammerThroughput|SweepJobsScaling|StrictTimingRowOps|QueryFig5ColdMiss|ColumnarDecode|ColumnarEncode|ShardMerge|FabricSweep|FabricOverhead|TelemetryOverhead"
 
 // Result is one benchmark data point.
 type Result struct {
