@@ -65,6 +65,7 @@ ci:
 	go vet ./...
 	go build ./...
 	go test -short ./...
+	cd perfbench && go vet ./... && go test ./...
 	$(MAKE) golden
 	$(MAKE) query-smoke
 	$(MAKE) bench-check

@@ -316,11 +316,8 @@ func runQuery(args []string) error {
 	if err != nil {
 		return err
 	}
-	switch res.Source {
-	case hbmrd.QuerySourceCache:
+	if res.CacheHit {
 		fmt.Fprintln(os.Stderr, "hbmrd: query served from the derived-result cache")
-	case hbmrd.QuerySourceJSONL:
-		fmt.Fprintln(os.Stderr, "hbmrd: query computed from raw JSONL records (columnar artifact backfilled)")
 	}
 	switch *format {
 	case "json":

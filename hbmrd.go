@@ -260,11 +260,11 @@ type (
 	// QueryAggregate is the typed result of one query.
 	QueryAggregate = query.Aggregate
 	// QueryResult is one executed query: aggregate, canonical JSON, and
-	// the path that answered it (cache, columnar artifact, or raw JSONL).
+	// the path that answered it (derived cache or columnar artifact).
 	QueryResult = query.Result
 	// QueryEngine executes query specs against a sweep store. Cache
-	// misses prefer the sweep's columnar artifact and fall back to the
-	// JSONL records (backfilling the artifact) for pre-format objects.
+	// misses read the sweep's columnar artifact, rebuilding it from the
+	// JSONL records first when it is missing or corrupt.
 	QueryEngine = query.Engine
 	// SweepCatalog indexes the finished sweeps a store holds.
 	SweepCatalog = query.Catalog
@@ -276,7 +276,6 @@ type (
 const (
 	QuerySourceCache    = query.SourceCache
 	QuerySourceColumnar = query.SourceColumnar
-	QuerySourceJSONL    = query.SourceJSONL
 )
 
 // NewQueryEngine builds a query engine over a sweep store.

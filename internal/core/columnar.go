@@ -373,7 +373,9 @@ func (r *byteReader) uvarint() (uint64, error) {
 }
 
 func (r *byteReader) take(n int) ([]byte, error) {
-	if n < 0 || r.pos+n > len(r.b) {
+	// Compare against the bytes left: r.pos+n overflows for a crafted
+	// length near 2^63.
+	if n < 0 || n > len(r.b)-r.pos {
 		return nil, fmt.Errorf("core: truncated columnar payload at offset %d", r.pos)
 	}
 	p := r.b[r.pos : r.pos+n]
@@ -461,13 +463,14 @@ func decodeColumn(c *Column, payload []byte, n int) error {
 			if l == 0 {
 				continue // nil slice
 			}
-			length := int(l - 1)
-			if length > len(payload) {
-				return fmt.Errorf("core: columnar int list of %d elements exceeds payload", length)
+			// Bound the length as a uint64: converted first, a length
+			// past 2^63 turns negative and slips under the bound.
+			if l-1 > uint64(len(payload)) {
+				return fmt.Errorf("core: columnar int list of %d elements exceeds payload", l-1)
 			}
-			list := make([]int, length)
+			list := make([]int, l-1)
 			prev := 0
-			for j := 0; j < length; j++ {
+			for j := range list {
 				u, err := r.uvarint()
 				if err != nil {
 					return err

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -148,9 +149,10 @@ func TestColumnarPreservesSliceIdentity(t *testing.T) {
 	}
 }
 
-// TestColumnarRejectsMalformed: truncated, corrupted, or mislabeled
-// artifacts fail decode loudly instead of yielding wrong records - the
-// engine treats any decode error as "fall back to JSONL".
+// TestColumnarRejectsMalformed: truncated, corrupted, mislabeled or
+// crafted artifacts fail decode with an error - never a panic - instead
+// of yielding wrong records. The query engine drops a twin that fails
+// decode and rebuilds it from the JSONL of record.
 func TestColumnarRejectsMalformed(t *testing.T) {
 	t.Parallel()
 	h := SweepHeader{Format: 1, Kind: string(KindHCFirst), Fingerprint: "sha256:" + strings.Repeat("cd", 32), Cells: 2, Generation: 1}
@@ -183,6 +185,21 @@ func TestColumnarRejectsMalformed(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// One-row artifacts holding a single column whose payload carries a
+	// length varint near 2^63 (or past it): a bounds check that adds the
+	// length to the offset, or converts it to int first, overflows and
+	// lets the decoder panic.
+	hj, err := json.Marshal(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := func(typ uint8, payload []byte) []byte {
+		b := appendString(good[:5:5], string(hj)) // magic, version, header
+		b = appendUvarint(appendUvarint(b, 1), 1) // one row, one column
+		b = append(appendString(b, "Col"), typ)
+		return append(appendUvarint(b, uint64(len(payload))), payload...)
+	}
+
 	cases := map[string][]byte{
 		"empty":           nil,
 		"bad magic":       append([]byte("nope"), good[4:]...),
@@ -191,6 +208,10 @@ func TestColumnarRejectsMalformed(t *testing.T) {
 		"trailing":        append(append([]byte{}, good...), 0x00),
 		"mistyped column": mistyped,
 		"unknown kind":    unknownKind,
+		"huge header":     appendUvarint(good[:5:5], 1<<63-1),
+		"huge bytes row":  huge(ColBytes, appendUvarint(nil, 1<<63)),
+		"huge dict label": huge(ColDict, appendUvarint([]byte{1}, 1<<63-1)),
+		"huge int list":   huge(ColIntList, appendUvarint(nil, 1<<63+1)),
 	}
 	for name, data := range cases {
 		if _, err := DecodeColumnar(bytes.NewReader(data)); err == nil {

@@ -145,11 +145,6 @@ func Ingest(s *store.Store, path string) (store.Meta, error) {
 	if err := s.PutFile(meta, path); err != nil {
 		return store.Meta{}, err
 	}
-	// Backfill the columnar artifact for objects finalized before the
-	// format existed (a no-op when the finalize above - or a past one -
-	// already wrote it). Best-effort: the JSONL object is the contract,
-	// the artifact only speeds up cold queries.
-	_ = s.EnsureColumnar(meta.Fingerprint)
 	// Read back the finalized metadata: Put computed Records and Bytes
 	// (and an identical earlier object may have won the finalize race).
 	_, stored, err := s.Path(meta.Fingerprint)

@@ -9,10 +9,9 @@ import (
 // ComputeColumnar runs one aggregation directly over a sweep's columnar
 // artifact: filters evaluate as column scans, group keys read the
 // dimension arrays, and reducers consume the metric arrays - no typed
-// record slice and no per-record row maps are ever materialized. Compute
-// over decoded records transposes them into the same columns and reads
-// them through the same accessors, so for the same records and Env the
-// two produce byte-identical Aggregates.
+// record slice and no per-record row maps are ever materialized. It is
+// the pure pipeline under Engine.Run - no store, no cache - and is
+// deterministic per the package contract.
 func ComputeColumnar(cs *core.ColumnSet, spec Spec, env Env) (*Aggregate, error) {
 	cspec, err := spec.Canonical()
 	if err != nil {

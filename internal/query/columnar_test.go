@@ -3,7 +3,6 @@ package query
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -149,7 +148,7 @@ func equivSpecs(t *testing.T, kind core.Kind, sweep string) []Spec {
 
 // TestColumnarComputeEquivalence pins the query vocabulary's correctness
 // for every registered kind: ComputeColumnar over the encoded artifact
-// and ComputeEnv over the typed records both produce Aggregate JSON
+// and over the typed records' columns both produce Aggregate JSON
 // byte-identical to the flatten reference (computeFlatten) for every
 // figure preset applicable to each kind, under every preset geometry's
 // rank environment. The flatten path is the oracle; any divergence is a
@@ -217,9 +216,9 @@ func TestColumnarComputeEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("ComputeColumnar(%+v): %v", spec, err)
 					}
-					fromRecs, err := ComputeEnv(kind, recs, spec, env)
+					fromRecs, err := computeRecords(kind, recs, spec, env)
 					if err != nil {
-						t.Fatalf("ComputeEnv(%+v): %v", spec, err)
+						t.Fatalf("computeRecords(%+v): %v", spec, err)
 					}
 					for path, agg := range map[string]*Aggregate{"columnar": col, "records": fromRecs} {
 						got, err := json.Marshal(agg)
@@ -248,9 +247,9 @@ func twinPath(t *testing.T, st *store.Store, fp string) string {
 }
 
 // TestEngineColumnarPreference: a cache miss is answered from the
-// columnar artifact when present, falls back to JSONL (and backfills the
-// artifact) when not, and both cold paths produce byte-identical
-// aggregates for the same spec.
+// columnar artifact, a repeat is a cache hit, a cold recompute equals the
+// served bytes, and a removed artifact is rebuilt from the JSONL and
+// serves the same bytes.
 func TestEngineColumnarPreference(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
@@ -277,11 +276,8 @@ func TestEngineColumnarPreference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Source != SourceColumnar {
-		t.Errorf("cold miss source = %q, want %q", first.Source, SourceColumnar)
-	}
-	if eng.RawReads() != 1 || eng.ColumnarReads() != 1 {
-		t.Errorf("raw/columnar reads = %d/%d, want 1/1", eng.RawReads(), eng.ColumnarReads())
+	if first.Source != SourceColumnar || eng.RawReads() != 1 {
+		t.Errorf("cold miss: source %q after %d raw reads, want %q after 1", first.Source, eng.RawReads(), SourceColumnar)
 	}
 	hit, err := eng.Run(spec)
 	if err != nil {
@@ -291,70 +287,29 @@ func TestEngineColumnarPreference(t *testing.T) {
 		t.Errorf("second run: hit=%v source=%q", hit.CacheHit, hit.Source)
 	}
 
-	// Both forced cold paths bypass the cache and agree byte-for-byte
-	// with each other and with the cached aggregate.
-	colCold, err := eng.RunCold(spec, SourceColumnar)
+	// A cold recompute bypasses the cache and equals the served bytes.
+	cold, err := eng.RunCold(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jsonlCold, err := eng.RunCold(spec, SourceJSONL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if colCold.CacheHit || jsonlCold.CacheHit {
-		t.Error("RunCold reported a cache hit")
-	}
-	if colCold.Source != SourceColumnar || jsonlCold.Source != SourceJSONL {
-		t.Errorf("cold sources = %q/%q", colCold.Source, jsonlCold.Source)
-	}
-	if !bytes.Equal(colCold.JSON, jsonlCold.JSON) || !bytes.Equal(colCold.JSON, first.JSON) {
-		t.Error("cold paths disagree on aggregate bytes")
-	}
-	if _, err := eng.RunCold(spec, "tape"); !errors.Is(err, ErrSpec) {
-		t.Errorf("unknown cold path: %v", err)
+	if cold.CacheHit || cold.Source != SourceColumnar || !bytes.Equal(cold.JSON, first.JSON) {
+		t.Errorf("cold recompute: hit=%v source=%q, bytes equal to served: %v", cold.CacheHit, cold.Source, bytes.Equal(cold.JSON, first.JSON))
 	}
 
-	// Strip the artifact: the next cold query (a new spec, so no cached
-	// aggregate) falls back to JSONL and backfills the artifact.
+	// Strip the artifact: the next cold query rebuilds it from the JSONL
+	// and answers with the same bytes.
 	if err := os.Remove(twinPath(t, st, meta.Fingerprint)); err != nil {
 		t.Fatal(err)
 	}
-	fallback, err := eng.Run(Spec{Sweep: meta.Fingerprint, GroupBy: []string{"channel"}, Metric: "hcfirst"})
+	rebuilt, err := eng.RunCold(spec)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if fallback.Source != SourceJSONL {
-		t.Errorf("twin-less miss source = %q, want %q", fallback.Source, SourceJSONL)
 	}
 	if !st.HasColumnar(meta.Fingerprint) {
-		t.Error("JSONL fallback did not backfill the columnar artifact")
+		t.Error("twin-less miss did not rebuild the columnar artifact")
 	}
-	restored, err := eng.Run(Spec{Sweep: meta.Fingerprint, GroupBy: []string{"row"}, Metric: "hcfirst"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Source != SourceColumnar {
-		t.Errorf("post-backfill miss source = %q, want %q", restored.Source, SourceColumnar)
-	}
-
-	// A forced-columnar cold run on a twin-less object errors instead of
-	// silently falling back.
-	if err := os.Remove(twinPath(t, st, meta.Fingerprint)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.RunCold(spec, SourceColumnar); !errors.Is(err, store.ErrNoColumnar) {
-		t.Errorf("forced columnar without artifact: %v, want ErrNoColumnar", err)
-	}
-	// A corrupt artifact is a fallback, not a failure.
-	if err := os.WriteFile(twinPath(t, st, meta.Fingerprint), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	corrupt, err := eng.Run(Spec{Sweep: meta.Fingerprint, GroupBy: []string{"pattern"}, Metric: "hcfirst"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if corrupt.Source != SourceJSONL {
-		t.Errorf("corrupt-artifact miss source = %q, want %q", corrupt.Source, SourceJSONL)
+	if rebuilt.Source != SourceColumnar || !bytes.Equal(rebuilt.JSON, first.JSON) {
+		t.Errorf("rebuilt twin: source %q, bytes equal to served: %v", rebuilt.Source, bytes.Equal(rebuilt.JSON, first.JSON))
 	}
 }
 
@@ -377,7 +332,7 @@ func TestRankDimension(t *testing.T) {
 		{Chip: 0, Bank: 47, Row: 10, Pattern: pattern.Rowstripe0, HCFirst: 44000, Found: true},
 	}
 	spec := Spec{Sweep: "sha256:x", GroupBy: []string{"rank"}, Metric: "hcfirst"}
-	agg, err := ComputeEnv(core.KindHCFirst, recs, spec, Env{BanksPerRank: 16})
+	agg, err := computeRecords(core.KindHCFirst, recs, spec, Env{BanksPerRank: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +342,7 @@ func TestRankDimension(t *testing.T) {
 		agg.Groups[2].Key[0] != "2" || agg.Groups[2].Count != 1 {
 		t.Errorf("rank groups = %+v", agg.Groups)
 	}
-	flat, err := ComputeEnv(core.KindHCFirst, recs, spec, Env{})
+	flat, err := computeRecords(core.KindHCFirst, recs, spec, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,10 +33,10 @@ func corruptTwin(t *testing.T, storeDir string, mutate func([]byte) []byte) {
 }
 
 // TestCorruptColumnarTwinFallsBackToJSONL is the store's graceful-
-// degradation contract: a columnar twin that no longer decodes is a cache
-// miss, not an error - the engine logs it, drops the corrupt artifact,
-// answers byte-identically from the JSONL of record, and re-transcodes a
-// fresh twin so the next cold query is fast again.
+// degradation contract: a columnar twin that no longer decodes is a
+// repair, not an error - the engine logs it, drops the corrupt artifact,
+// rebuilds it from the JSONL of record, and answers byte-identically from
+// the fresh twin.
 func TestCorruptColumnarTwinFallsBackToJSONL(t *testing.T) {
 	t.Parallel()
 	cases := []struct {
@@ -60,6 +60,9 @@ func TestCorruptColumnarTwinFallsBackToJSONL(t *testing.T) {
 		// declared a float column with a well-formed 8-byte-per-row
 		// payload: it parses, yet an integer accessor would find no ints.
 		{"mistyped", func(b []byte) []byte { return retypeColumn(t, b, "Chip", core.ColFloat) }},
+		// Magic and version, then a header-length varint near 2^63: a
+		// bounds check that adds it to the offset overflows.
+		{"crafted length", func(b []byte) []byte { return binary.AppendUvarint(b[:5], 1<<63-1) }},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -84,9 +87,9 @@ func TestCorruptColumnarTwinFallsBackToJSONL(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Reference aggregate straight from the JSONL of record,
-			// bypassing the derived cache on both ends.
-			ref, err := NewEngine(st).RunCold(spec, SourceJSONL)
+			// Reference aggregate from the healthy twin, bypassing the
+			// derived cache on both ends.
+			ref, err := NewEngine(st).RunCold(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,26 +103,26 @@ func TestCorruptColumnarTwinFallsBackToJSONL(t *testing.T) {
 			if err != nil {
 				t.Fatalf("query over corrupt twin errored: %v", err)
 			}
-			if got.Source != SourceJSONL {
-				t.Errorf("Source = %s, want %s (JSONL fallback)", got.Source, SourceJSONL)
+			if got.Source != SourceColumnar {
+				t.Errorf("Source = %s, want %s (rebuilt twin)", got.Source, SourceColumnar)
 			}
 			if !bytes.Equal(got.JSON, ref.JSON) {
-				t.Error("fallback aggregate is not byte-identical to the JSONL reference")
+				t.Error("aggregate over the rebuilt twin is not byte-identical to the reference")
 			}
 			if !strings.Contains(logs.String(), "unreadable") {
 				t.Errorf("quarantine was not logged: %q", logs.String())
 			}
 			// The corrupt artifact was dropped and re-transcoded from the
-			// JSONL; the fresh twin serves the same bytes on the fast path.
+			// JSONL; the fresh twin serves the same bytes.
 			if !st.HasColumnar(fp) {
 				t.Fatal("twin was not re-transcoded after the drop")
 			}
-			again, err := NewEngine(st).RunCold(spec, SourceColumnar)
+			again, err := NewEngine(st).RunCold(spec)
 			if err != nil {
 				t.Fatalf("re-transcoded twin does not decode: %v", err)
 			}
 			if !bytes.Equal(again.JSON, ref.JSON) {
-				t.Error("re-transcoded twin's aggregate diverges from the JSONL reference")
+				t.Error("re-transcoded twin's aggregate diverges from the reference")
 			}
 		})
 	}
@@ -129,7 +132,7 @@ func TestCorruptColumnarTwinFallsBackToJSONL(t *testing.T) {
 // quarantine heuristic: a spec the engine rejects (unknown metric here)
 // fails on ANY representation, so it must surface as ErrSpec without
 // evicting the healthy columnar twin - otherwise every typo'd query
-// would silently push the store back onto the slow JSONL path.
+// would pay a needless rebuild from the JSONL.
 func TestRejectedSpecDoesNotQuarantineTwin(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
@@ -161,7 +164,7 @@ func TestRejectedSpecDoesNotQuarantineTwin(t *testing.T) {
 	if strings.Contains(logs.String(), "unreadable") {
 		t.Errorf("rejected spec was logged as twin corruption: %q", logs.String())
 	}
-	// The twin still serves valid queries on the fast path.
+	// The twin still serves valid queries.
 	good, err := FigureSpec("fig5", fp)
 	if err != nil {
 		t.Fatal(err)
@@ -172,6 +175,50 @@ func TestRejectedSpecDoesNotQuarantineTwin(t *testing.T) {
 	}
 	if res.Source != SourceColumnar {
 		t.Errorf("Source after rejected spec = %s, want %s", res.Source, SourceColumnar)
+	}
+}
+
+// TestUnrebuildableTwinFailsQuery: a sweep whose twin is gone and whose
+// JSONL of record no longer decodes cannot be answered. The query fails
+// with an execution error, not a spec error, and the failed rebuild
+// leaves neither a twin nor a staged artifact behind.
+func TestUnrebuildableTwinFailsQuery(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "hcfirst.jsonl")
+	runTinyHCFirstToFile(t, path)
+	storeDir := filepath.Join(dir, "store")
+	st, err := store.Open(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := Ingest(st, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := meta.Fingerprint
+	if err := st.DropColumnar(fp); err != nil {
+		t.Fatal(err)
+	}
+	jsonl, _, err := st.Path(fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(jsonl, []byte("not a sweep\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := FigureSpec("fig5", fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewEngine(st).Run(spec); err == nil || errors.Is(err, ErrSpec) {
+		t.Fatalf("Run over an unrebuildable twin = %v, want an execution error", err)
+	}
+	if st.HasColumnar(fp) {
+		t.Error("failed rebuild left a twin")
+	}
+	if staged, _ := filepath.Glob(filepath.Join(storeDir, "tmp", "columnar-*")); len(staged) != 0 {
+		t.Errorf("failed rebuild left staged artifacts %v", staged)
 	}
 }
 

@@ -10,8 +10,7 @@ import (
 // dimension and metric is a name, the record columns it reads, and a
 // formatter that turns those typed columns into a per-row accessor.
 // Dimensions and Metrics list the names; columnarSource wires the
-// accessors over a column set, whether it was decoded from the store's
-// columnar twin or transposed from JSONL records by core.ExtractColumns.
+// accessors over a column set decoded from the store's columnar twin.
 // Accessors close over the typed column slices, so computeOver's row loop
 // does no reflection and no lookups by name.
 

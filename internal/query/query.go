@@ -28,22 +28,19 @@
 // aggregate's shape or the pipeline's semantics MUST bump
 // FormatGeneration so stale cached aggregates stop matching.
 //
-// # Cold-path selection
+// # Cold path
 //
-// On a derived-cache miss the engine has two ways to compute an
-// aggregate: stream the store's columnar twin (results.hbmc) directly
-// into the group-by/filter/reduce loop without materializing records, or
-// decode the stored JSONL into records and transpose them into the same
-// columns (core.ExtractColumns). Either way one column set is read through
-// the accessors each kind's fields declare (kindFields) and feeds the
-// single computeOver pipeline, so the paths are byte-identical by
-// construction (checked against a test-only row-map oracle per figure
-// preset by TestColumnarComputeEquivalence, and forced through both paths
-// by the query-smoke CI gate). Engine.Run prefers the columnar artifact and
-// falls back to JSONL when it is missing or unreadable, backfilling the
-// twin afterwards; Result.Source reports which path answered. Dimensions
-// derived from the sweep's recorded geometry (the rank axis,
-// rank = bank/banksPerRank) resolve through the same Env on both paths.
+// On a derived-cache miss the engine reads the store's columnar twin
+// (results.hbmc) and feeds its columns, through the accessors each kind's
+// fields declare (kindFields), into the single computeOver pipeline
+// without materializing records. TestColumnarComputeEquivalence checks
+// that pipeline against a test-only row-map oracle for every figure
+// preset. The twin is derived data: one that does not decode or holds
+// another sweep is dropped, a missing or dropped one is rebuilt once from
+// the JSONL of record (store.EnsureColumnar) and read again, and a twin
+// that cannot be rebuilt fails the query. Dimensions derived from the
+// sweep's recorded geometry (the rank axis, rank = bank/banksPerRank)
+// resolve through Env.
 package query
 
 import (
@@ -69,8 +66,8 @@ import (
 
 // Env carries geometry-derived context the records themselves do not
 // embed. The engine fills it from the stored sweep's preset; callers of
-// the pure Compute functions pass it explicitly (the zero Env means
-// single-rank: every record lands in rank 0).
+// ComputeColumnar pass it explicitly (the zero Env means single-rank:
+// every record lands in rank 0).
 type Env struct {
 	// BanksPerRank derives the rank dimension from the flat bank address:
 	// rank = bank / BanksPerRank (see hbm.Geometry.RankOfBank). Zero or
@@ -355,34 +352,6 @@ type Aggregate struct {
 	Groups  []GroupResult `json:"groups"`
 }
 
-// Compute runs one canonicalized aggregation over a kind's decoded record
-// slice. It is the pure pipeline under Engine.Run - no store, no cache -
-// and is deterministic per the package contract: it transposes the
-// records into columns and reads them exactly as ComputeColumnar reads a
-// decoded artifact, so both produce the same Aggregate bytes for the same
-// records under the same Env.
-func Compute(kind core.Kind, records any, spec Spec) (*Aggregate, error) {
-	return ComputeEnv(kind, records, spec, Env{})
-}
-
-// ComputeEnv is Compute with explicit geometry context for the derived
-// dimensions (rank).
-func ComputeEnv(kind core.Kind, records any, spec Spec, env Env) (*Aggregate, error) {
-	cspec, err := spec.Canonical()
-	if err != nil {
-		return nil, err
-	}
-	cs, err := core.ExtractColumns(kind, records)
-	if err != nil {
-		return nil, err
-	}
-	src, err := columnarSource(kind, cs, env)
-	if err != nil {
-		return nil, err
-	}
-	return computeOver(kind, src, cspec)
-}
-
 // computeOver is the single filter/group/reduce pipeline every row source
 // feeds. It pre-resolves every accessor the spec touches - filter
 // operands, group-key dimensions, the metric - so the loop below does no
@@ -581,27 +550,28 @@ rowLoop:
 const (
 	SourceCache    = "cache"    // served from the derived-result cache
 	SourceColumnar = "columnar" // computed from the columnar artifact
-	SourceJSONL    = "jsonl"    // computed from the raw JSONL records
+	// SourceJSONL named the retired JSONL cold path; no query reports it.
+	// It stays because perfbench's w_query.go counts answers against it.
+	SourceJSONL = "jsonl"
 )
 
 // Result is one executed query: the typed aggregate, its canonical JSON
 // serialization (byte-identical across repeated runs of the same spec,
-// whichever path produced it), and the path that answered it.
+// hit or miss), and the path that answered it.
 type Result struct {
 	Aggregate Aggregate
 	JSON      []byte
 	CacheHit  bool
-	// Source is SourceCache, SourceColumnar or SourceJSONL.
+	// Source is SourceCache or SourceColumnar.
 	Source string
 }
 
 // Engine executes query specs against a sweep store, content-addressing
 // every aggregate into the store's derived cache keyed on (sweep
-// fingerprint, canonical spec): the first run of a spec decodes and
-// reduces the raw records, every identical run after it is a cache hit
-// that never re-reads them. On a miss the engine prefers the sweep's
-// columnar artifact and falls back to the JSONL records for objects that
-// predate the columnar format (backfilling their artifact as it goes).
+// fingerprint, canonical spec): the first run of a spec reduces the
+// sweep's columnar twin, every identical run after it is a cache hit that
+// never re-reads it. A miss on a sweep whose twin is missing or corrupt
+// rebuilds the twin from the JSONL of record first.
 type Engine struct {
 	Store *store.Store
 
@@ -611,11 +581,10 @@ type Engine struct {
 
 	// Trace, when set, receives one span per Run (cache hit or full
 	// compute) keyed by the sweep fingerprint, with the answering source
-	// (cache, columnar, jsonl) as an attribute.
+	// (cache, columnar) as an attribute.
 	Trace *telemetry.Tracer
 
-	rawReads      atomic.Int64
-	columnarReads atomic.Int64
+	rawReads atomic.Int64
 }
 
 // NewEngine builds a query engine over a store.
@@ -626,13 +595,9 @@ func (e *Engine) logf(format string, args ...any) {
 }
 
 // RawReads reports how many times the engine has gone to the stored
-// sweep bytes - either representation - instead of the derived cache.
-// The counter cache-hit tests assert does not move.
+// sweep bytes instead of the derived cache. The counter cache-hit tests
+// assert does not move.
 func (e *Engine) RawReads() int64 { return e.rawReads.Load() }
-
-// ColumnarReads reports how many of those reads were served by the
-// columnar artifact rather than the JSONL records.
-func (e *Engine) ColumnarReads() int64 { return e.columnarReads.Load() }
 
 // envFor derives the query environment from the stored sweep's geometry
 // preset: multi-rank organizations expose the rank dimension as
@@ -649,16 +614,13 @@ func envFor(meta *store.Meta) Env {
 }
 
 // Run executes one spec: canonicalize, serve from the derived cache when
-// the (sweep, spec) key is stored, otherwise aggregate the stored sweep -
-// columnar artifact preferred, JSONL fallback - and cache the result.
+// the (sweep, spec) key is stored, otherwise aggregate the sweep's
+// columnar twin and cache the result.
 func (e *Engine) Run(spec Spec) (*Result, error) {
 	start := time.Now()
-	cspec, err := spec.Canonical()
+	cspec, err := canonicalQuery(spec)
 	if err != nil {
 		return nil, err
-	}
-	if cspec.Sweep == "" {
-		return nil, specErr("sweep fingerprint is required")
 	}
 	key, err := DerivedKey(cspec)
 	if err != nil {
@@ -676,45 +638,61 @@ func (e *Engine) Run(spec Spec) (*Result, error) {
 		return nil, err
 	}
 
-	e.rawReads.Add(1)
-	agg, source, err := e.computeCold(cspec, "")
+	res, err := e.cold(cspec)
 	if err != nil {
 		return nil, err
 	}
-	b, err := json.Marshal(agg)
-	if err != nil {
-		return nil, err
-	}
-	b = append(b, '\n')
 	// Caching is best-effort, matching the read side's stance on a
 	// read-only store: a failed cache write (full disk, read-only mount)
 	// costs the next identical query a recompute, never this one its
 	// answer.
-	_ = e.Store.PutDerived(key, b)
-	res := &Result{Aggregate: *agg, JSON: b, CacheHit: false, Source: source}
+	_ = e.Store.PutDerived(key, res.JSON)
 	e.observe(start, cspec, res)
 	return res, nil
 }
 
-// RunCold executes one spec against the stored sweep bytes through one
-// explicit path - SourceColumnar or SourceJSONL - bypassing the derived
-// cache on both read and write. The harness equivalence checks use it to
-// assert the two representations produce byte-identical aggregates.
-func (e *Engine) RunCold(spec Spec, source string) (*Result, error) {
-	cspec, err := spec.Canonical()
+// RunCold executes one spec against the stored sweep, bypassing the
+// derived cache on both read and write. Equivalence checks use it to
+// assert that a recomputation equals the served bytes.
+func (e *Engine) RunCold(spec Spec) (*Result, error) {
+	cspec, err := canonicalQuery(spec)
 	if err != nil {
 		return nil, err
 	}
-	if cspec.Sweep == "" {
-		return nil, specErr("sweep fingerprint is required")
+	return e.cold(cspec)
+}
+
+// canonicalQuery canonicalizes a spec the engine can run: one that names
+// its sweep.
+func canonicalQuery(spec Spec) (Spec, error) {
+	cspec, err := spec.Canonical()
+	if err == nil && cspec.Sweep == "" {
+		err = specErr("sweep fingerprint is required")
 	}
-	switch source {
-	case SourceColumnar, SourceJSONL:
-	default:
-		return nil, specErr("unknown cold path %q (have %s %s)", source, SourceColumnar, SourceJSONL)
-	}
+	return cspec, err
+}
+
+// cold aggregates the stored sweep's columnar twin on a cache miss. A
+// twin that does not decode or holds another sweep is dropped; a dropped
+// or missing twin is rebuilt once from the JSONL of record and read
+// again, and a failed rebuild or retry is the query's error. A rejected
+// spec or an unknown sweep returns at once: it would fail on any twin, so
+// it never costs a healthy one.
+func (e *Engine) cold(cspec Spec) (*Result, error) {
 	e.rawReads.Add(1)
-	agg, got, err := e.computeCold(cspec, source)
+	agg, err := e.computeColumnar(cspec)
+	if err != nil && !errors.Is(err, ErrSpec) && !errors.Is(err, store.ErrNotFound) {
+		if !errors.Is(err, store.ErrNoColumnar) {
+			mColumnarDrops.Inc()
+			e.logf("query: columnar twin of %s unreadable (%v); dropping and rebuilding it", cspec.Sweep, err)
+			if derr := e.Store.DropColumnar(cspec.Sweep); derr != nil {
+				e.logf("query: dropping columnar twin of %s: %v", cspec.Sweep, derr)
+			}
+		}
+		if err = e.Store.EnsureColumnar(cspec.Sweep); err == nil {
+			agg, err = e.computeColumnar(cspec)
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -722,57 +700,7 @@ func (e *Engine) RunCold(spec Spec, source string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	b = append(b, '\n')
-	return &Result{Aggregate: *agg, JSON: b, CacheHit: false, Source: got}, nil
-}
-
-// computeCold aggregates a stored sweep on a cache miss. forced pins the
-// path (SourceColumnar errors hard, for the equivalence harness); empty
-// prefers columnar and treats ANY columnar failure - no artifact on a
-// pre-format object, torn file, decode error - as "take the JSONL
-// contract path instead", because the artifact is an optimization and
-// the JSONL is the format of record.
-func (e *Engine) computeCold(cspec Spec, forced string) (*Aggregate, string, error) {
-	if forced != SourceJSONL {
-		agg, err := e.computeColumnar(cspec)
-		if err == nil {
-			return agg, SourceColumnar, nil
-		}
-		if forced == SourceColumnar {
-			return nil, "", err
-		}
-		// A rejected spec is the caller's problem, not the twin's: the
-		// JSONL path would refuse it identically, so surface it without
-		// blaming (and evicting) a healthy artifact.
-		if errors.Is(err, ErrSpec) {
-			return nil, "", err
-		}
-		// A twin that exists but no longer decodes (or holds the wrong
-		// sweep) is corruption, not absence: quarantine it by deletion so
-		// every future cold query stops paying the failed decode, and let
-		// the JSONL path below re-transcode a fresh one. A merely absent
-		// twin (pre-format object) takes the same fallback without the
-		// drop.
-		if !errors.Is(err, store.ErrNoColumnar) && !errors.Is(err, store.ErrNotFound) {
-			mColumnarDrops.Inc()
-			e.logf("query: columnar twin of %s unreadable (%v); dropping it and answering from JSONL", cspec.Sweep, err)
-			if derr := e.Store.DropColumnar(cspec.Sweep); derr != nil {
-				e.logf("query: dropping columnar twin of %s: %v", cspec.Sweep, derr)
-			}
-		}
-	}
-	agg, err := e.computeJSONL(cspec)
-	if err != nil {
-		return nil, "", err
-	}
-	if forced == "" {
-		// The sweep answered from JSONL: either it predates the columnar
-		// format or its corrupt twin was just dropped. Re-transcode the
-		// artifact from the JSONL of record (best-effort) so the next cold
-		// query takes the fast path again.
-		_ = e.Store.EnsureColumnar(cspec.Sweep)
-	}
-	return agg, SourceJSONL, nil
+	return &Result{Aggregate: *agg, JSON: append(b, '\n'), Source: SourceColumnar}, nil
 }
 
 func (e *Engine) computeColumnar(cspec Spec) (*Aggregate, error) {
@@ -788,24 +716,7 @@ func (e *Engine) computeColumnar(cspec Spec) (*Aggregate, error) {
 	if cs.Header.Fingerprint != cspec.Sweep {
 		return nil, fmt.Errorf("query: store object %s holds sweep %s", cspec.Sweep, cs.Header.Fingerprint)
 	}
-	e.columnarReads.Add(1)
 	return ComputeColumnar(cs, cspec, envFor(meta))
-}
-
-func (e *Engine) computeJSONL(cspec Spec) (*Aggregate, error) {
-	rc, meta, err := e.Store.Get(cspec.Sweep)
-	if err != nil {
-		return nil, err
-	}
-	defer rc.Close()
-	h, recs, err := core.DecodeRecords(core.Kind(meta.Kind), rc)
-	if err != nil {
-		return nil, err
-	}
-	if h.Fingerprint != cspec.Sweep {
-		return nil, fmt.Errorf("query: store object %s holds sweep %s", cspec.Sweep, h.Fingerprint)
-	}
-	return ComputeEnv(core.Kind(meta.Kind), recs, cspec, envFor(meta))
 }
 
 // Table renders the aggregate as a header row plus one row of formatted

@@ -95,13 +95,25 @@ func fig5Records() []core.HCFirstRecord {
 	}
 }
 
+// computeRecords aggregates a typed record slice the way the engine
+// aggregates a decoded twin: transposed into columns, then read by
+// ComputeColumnar.
+func computeRecords(kind core.Kind, records any, spec Spec, env Env) (*Aggregate, error) {
+	cs, err := core.ExtractColumns(kind, records)
+	if err != nil {
+		return nil, err
+	}
+	cs.Header.Kind = string(kind)
+	return ComputeColumnar(cs, spec, env)
+}
+
 func TestComputeFig5Aggregation(t *testing.T) {
 	t.Parallel()
 	spec, err := FigureSpec("fig5", "sha256:test")
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := Compute(core.KindHCFirst, fig5Records(), spec)
+	agg, err := computeRecords(core.KindHCFirst, fig5Records(), spec, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +145,7 @@ func TestComputeFig5Aggregation(t *testing.T) {
 func TestComputeFilterAndReducers(t *testing.T) {
 	t.Parallel()
 	recs := fig5Records()
-	agg, err := Compute(core.KindHCFirst, recs, Spec{
+	agg, err := computeRecords(core.KindHCFirst, recs, Spec{
 		Sweep:  "sha256:test",
 		Metric: "hcfirst",
 		Where: []Cond{
@@ -144,7 +156,7 @@ func TestComputeFilterAndReducers(t *testing.T) {
 		Reducers:    []string{"count", "mean", "min", "max", "median", "stddev", "cv", "percentiles", "histogram"},
 		Percentiles: []float64{50, 90},
 		Edges:       []float64{0, 35000, 50000},
-	})
+	}, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,10 +179,10 @@ func TestComputeFilterAndReducers(t *testing.T) {
 	}
 
 	// Unknown dimension and metric are spec errors naming the kind.
-	if _, err := Compute(core.KindHCFirst, recs, Spec{Metric: "ber_percent"}); !errors.Is(err, ErrSpec) {
+	if _, err := computeRecords(core.KindHCFirst, recs, Spec{Metric: "ber_percent"}, Env{}); !errors.Is(err, ErrSpec) {
 		t.Errorf("wrong metric: %v", err)
 	}
-	if _, err := Compute(core.KindHCFirst, recs, Spec{Metric: "hcfirst", GroupBy: []string{"dummies"}}); !errors.Is(err, ErrSpec) {
+	if _, err := computeRecords(core.KindHCFirst, recs, Spec{Metric: "hcfirst", GroupBy: []string{"dummies"}}, Env{}); !errors.Is(err, ErrSpec) {
 		t.Errorf("wrong dim: %v", err)
 	}
 }

@@ -418,8 +418,8 @@ func (s *Server) handleRecords(w http.ResponseWriter, _ *http.Request, fp string
 // aggregate JSON is content-addressed into the store's derived cache, so
 // a repeated identical spec is answered without re-reading the raw
 // records; the X-Hbmrd-Query-Cache header reports hit or miss, and
-// X-Hbmrd-Query-Source which representation answered (cache, columnar,
-// or jsonl).
+// X-Hbmrd-Query-Source which representation answered (cache or
+// columnar).
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var spec query.Spec
 	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))

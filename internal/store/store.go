@@ -22,16 +22,17 @@
 //
 // JSONL is the interchange contract - fingerprints, golden digests,
 // resume and the HTTP streaming surface are all defined over it - but it
-// is a slow read: every query miss pays one reflective JSON parse per
-// record. At finalize, Put therefore transcodes the stream into a compact
-// columnar twin (results.hbmc, see core.EncodeColumnar: per-field typed
-// arrays behind a self-describing header) stored beside the JSONL under
-// the same fingerprint. The twin is derived data, best-effort by design:
-// a stream the transcoder cannot decode finalizes without one, readers
-// fall back to the JSONL via Get, and EnsureColumnar backfills the twin
-// lazily for objects finalized before the format existed. GetColumnar
-// refreshes the object's LRU recency exactly as raw reads do, and Prune
-// evicts and accounts the twin together with its object.
+// is a slow read: one reflective JSON parse per record. At finalize, Put
+// therefore transcodes the stream into a compact columnar twin
+// (results.hbmc, see core.EncodeColumnar: per-field typed arrays behind a
+// self-describing header) stored beside the JSONL under the same
+// fingerprint, and queries read only the twin. The twin is derived data,
+// best-effort by design: a stream the transcoder cannot decode finalizes
+// without one, and EnsureColumnar rebuilds it from the JSONL for objects
+// finalized before the format existed or whose twin was dropped as
+// corrupt (DropColumnar). GetColumnar refreshes the object's LRU recency
+// exactly as raw reads do, and Prune evicts and accounts the twin
+// together with its object.
 package store
 
 import (
@@ -53,8 +54,9 @@ import (
 var ErrNotFound = errors.New("store: sweep not found")
 
 // ErrNoColumnar reports a stored sweep without a columnar twin (finalized
-// before the format existed, or from a stream the transcoder could not
-// decode). The JSONL via Get still serves it; EnsureColumnar backfills.
+// before the format existed, from a stream the transcoder could not
+// decode, or with its twin dropped). EnsureColumnar rebuilds it from the
+// JSONL.
 var ErrNoColumnar = errors.New("store: sweep has no columnar artifact")
 
 // Meta describes one stored sweep. Fingerprint, Kind and Cells identify
@@ -270,7 +272,7 @@ func (s *Store) put(meta Meta, r io.Reader) error {
 
 	// Transcode the staged stream into its columnar twin. Best-effort: a
 	// stream the decoder rejects (not a sweep, unknown kind) finalizes
-	// without one and readers stay on the JSONL path.
+	// without one, and a query over it fails its rebuild the same way.
 	_ = transcodeColumnar(filepath.Join(stage, "results.jsonl"), filepath.Join(stage, "results.hbmc"))
 
 	mb, err := json.MarshalIndent(meta, "", "  ")
@@ -329,9 +331,8 @@ func transcodeColumnar(src, dst string) error {
 // GetColumnar opens the stored sweep's columnar twin and its metadata.
 // The caller closes the reader. Returns ErrNotFound when the fingerprint
 // has no finished sweep, and ErrNoColumnar when the sweep is stored but
-// carries no twin (readers should fall back to Get and may backfill via
-// EnsureColumnar). A columnar hit refreshes the object's LRU recency just
-// like a raw read.
+// carries no twin (EnsureColumnar rebuilds it). A columnar hit refreshes
+// the object's LRU recency just like a raw read.
 func (s *Store) GetColumnar(fingerprint string) (io.ReadCloser, *Meta, error) {
 	dir, err := s.objectDir(fingerprint)
 	if err != nil {
@@ -368,7 +369,8 @@ func (s *Store) HasColumnar(fingerprint string) bool {
 
 // EnsureColumnar backfills the columnar twin of an already-finalized
 // sweep - the lazy migration path for stores populated before the format
-// existed. Idempotent: a present twin is left untouched. The twin is
+// existed, and the rebuild after DropColumnar. Idempotent: a present twin
+// is left untouched. The twin is
 // staged under tmp/ and renamed into the object, so concurrent callers
 // race safely (identical content by construction) and a crash leaves no
 // half-written artifact. Returns ErrNotFound when the fingerprint has no
@@ -408,10 +410,9 @@ func (s *Store) EnsureColumnar(fingerprint string) error {
 
 // DropColumnar removes the stored sweep's columnar twin, leaving the
 // JSONL and metadata in place. The recovery path for a twin that no
-// longer decodes (disk corruption): readers fall back to the JSONL and
-// EnsureColumnar re-transcodes a fresh twin from it. A missing twin is
-// success; returns ErrNotFound when the fingerprint has no finished
-// sweep at all.
+// longer decodes (disk corruption): EnsureColumnar then re-transcodes a
+// fresh twin from the JSONL. A missing twin is success; returns
+// ErrNotFound when the fingerprint has no finished sweep at all.
 func (s *Store) DropColumnar(fingerprint string) error {
 	dir, err := s.objectDir(fingerprint)
 	if err != nil {

@@ -122,6 +122,7 @@ func run(update bool, goldenPath string) error {
 	}
 
 	var out bytes.Buffer
+	var served [][]byte
 	eng := hbmrd.NewQueryEngine(st)
 	specs := smokeQueries(meta.Fingerprint)
 	for _, spec := range specs {
@@ -132,11 +133,12 @@ func run(update bool, goldenPath string) error {
 		fmt.Fprintf(&out, "==== reducer %s ====\n", strings.Join(spec.Reducers, ","))
 		out.Write(res.JSON)
 		out.WriteString(res.Aggregate.CSV())
+		served = append(served, res.JSON)
 	}
 
 	// The post-legacy sweep kinds: one tiny sweep each through the same
 	// -out flow, queried through their figure presets. Their specs join
-	// the cold-path equivalence loop below.
+	// the cold recompute checks below.
 	vrdMeta, err := runStored(dir, st, "vrd", func(fleet []*hbmrd.TestChip, sink hbmrd.Sink) error {
 		_, err := hbmrd.RunVRDContext(ctx, fleet, hbmrd.VRDConfig{
 			Rows: hbmrd.SampleRows(2), Trials: 3,
@@ -172,26 +174,32 @@ func run(update bool, goldenPath string) error {
 		out.Write(res.JSON)
 		out.WriteString(res.Aggregate.CSV())
 		specs = append(specs, spec)
+		served = append(served, res.JSON)
 	}
-	// Every golden query must produce byte-identical aggregates through
-	// both cold representations - the columnar artifact and the raw
-	// JSONL records - the equivalence contract that lets the engine pick
-	// its path freely.
-	for _, spec := range specs {
-		col, err := eng.RunCold(spec, hbmrd.QuerySourceColumnar)
-		if err != nil {
-			return fmt.Errorf("cold columnar %v: %w", spec.Reducers, err)
+	// A cold recompute of every golden query must equal the bytes it was
+	// served, first over the stored columnar twins, then over twins the
+	// engine rebuilds from the JSONL of record once all three are gone.
+	fps := []string{meta.Fingerprint, vrdMeta.Fingerprint, colMeta.Fingerprint}
+	for _, twins := range []string{"stored", "rebuilt"} {
+		if twins == "rebuilt" {
+			for _, fp := range fps {
+				if err := st.DropColumnar(fp); err != nil {
+					return err
+				}
+			}
 		}
-		raw, err := eng.RunCold(spec, hbmrd.QuerySourceJSONL)
-		if err != nil {
-			return fmt.Errorf("cold jsonl %v: %w", spec.Reducers, err)
-		}
-		if !bytes.Equal(col.JSON, raw.JSON) {
-			return fmt.Errorf("reducer %v: columnar and JSONL cold paths disagree:\n  columnar: %s\n  jsonl:    %s",
-				spec.Reducers, col.JSON, raw.JSON)
+		for i, spec := range specs {
+			cold, err := eng.RunCold(spec)
+			if err != nil {
+				return fmt.Errorf("cold recompute %v over %s twins: %w", spec.Reducers, twins, err)
+			}
+			if !bytes.Equal(cold.JSON, served[i]) {
+				return fmt.Errorf("reducer %v: cold recompute over %s twins disagrees with the served bytes:\n  cold:   %s\n  served: %s",
+					spec.Reducers, twins, cold.JSON, served[i])
+			}
 		}
 	}
-	fmt.Fprintf(&out, "==== paths ====\ncold columnar/jsonl byte-identical across %d queries\n", len(specs))
+	fmt.Fprintf(&out, "==== paths ====\ncold recompute equals served bytes across %d queries, over stored and rebuilt twins\n", len(specs))
 
 	// The derived cache must answer a repeated spec without re-reading
 	// the raw records.
