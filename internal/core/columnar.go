@@ -575,6 +575,15 @@ func readArtifact(rd io.Reader) ([]byte, error) {
 // Call Records on the result to rebuild the typed record slice; feeding
 // that to EncodeRecords reproduces the original JSONL byte for byte.
 func DecodeColumnar(rd io.Reader) (*ColumnSet, error) {
+	return DecodeColumnarProjected(rd, nil)
+}
+
+// DecodeColumnarProjected is DecodeColumnar that parses only the payloads
+// of the columns want accepts (nil accepts every column). Every column's
+// name, type and length frame is still read, and the schema and
+// trailing-bytes checks still run; a skipped column keeps its name and
+// type and holds no values, so damage inside its payload goes unnoticed.
+func DecodeColumnarProjected(rd io.Reader, want func(name string) bool) (*ColumnSet, error) {
 	b, err := readArtifact(rd)
 	if err != nil {
 		return nil, err
@@ -632,6 +641,9 @@ func DecodeColumnar(rd io.Reader) (*ColumnSet, error) {
 			return nil, err
 		}
 		cs.Cols[i] = Column{Name: name, Type: tb[0]}
+		if want != nil && !want(name) {
+			continue
+		}
 		if err := decodeColumn(&cs.Cols[i], payload, cs.N); err != nil {
 			return nil, err
 		}

@@ -2,20 +2,19 @@ package disturb
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 
 	"hbmrd/internal/stats"
 )
 
 // This file implements the model's per-row state cache: the derived
-// calibration parameters plus the materialized per-cell randomness
-// (per-cell hash draws, orientation bitmask, word-cluster factors) that
-// FlipMask and calibration previously both recomputed from scratch on
-// every call. The cache is sharded by bank so concurrent sweep workers on
-// different channels never contend on one lock, and the bulky per-cell
-// arrays sit behind a per-model byte budget with LRU eviction (the tiny
-// per-row calibration stays cached forever, exactly like the old
-// map[RowLoc]rowCalib).
+// calibration parameters plus a compact summary of the per-cell
+// randomness (orientation bitmask, word-cluster factors and weak-cell
+// band masks) that FlipMask and ColFlipMask read. The cache is sharded
+// by bank so concurrent sweep workers on different channels never contend
+// on one lock, and the cell arrays sit behind a per-model byte budget with
+// LRU eviction (the tiny per-row calibration stays cached forever).
 //
 // A row's state is built in stages, each only when a call needs it. The
 // entry (seed, trial-jitter spread) exists from the first touch. The
@@ -24,8 +23,16 @@ import (
 // hammer-only FlipMask needs to apply the row-level skip bound
 // (belowFlipBound); most calls on aggressor rows stop there. The cell
 // arrays, and with them the minU anchor that completes the calibration
-// (anchor), are built in one pass when a call can flip a cell, or when a
-// caller needs the full calibration (the scalar path, ColFlipMask).
+// (anchor), are built in one pass over the hash stream when a call can
+// flip a cell, or when a caller needs the full calibration. The bands of
+// the retention and column-disturb uniforms are built on the row's first
+// retention-active FlipMask and first ColFlipMask.
+//
+// No per-cell hash is stored. A weak-cell band mask says which cells of a
+// word have a uniform under a power-of-two level; a call visits only the
+// cells under the smallest level above its per-word flip-probability
+// bound and recomputes their hashes. Every other cell has a uniform above
+// every probability of the call and provably does not flip.
 //
 // Determinism contract: the per-cell hash stream (splitmix64 of
 // rowSeed + cellIndex*cellStride, plus the documented salts) is the spec.
@@ -40,48 +47,116 @@ const (
 	// locks.
 	cacheShards = 64
 
-	// defaultCellCacheBytes bounds the materialized per-cell arrays per
-	// model. At the paper's 1 KiB rows one row costs ~68 KiB (8 B/cell of
-	// hash draws plus four per-word arrays), so the default keeps ~960
-	// rows' cell state live; evicted rows rebuild deterministically on
-	// next touch.
+	// defaultCellCacheBytes bounds the cell arrays per model. At the
+	// paper's 1 KiB rows one row costs 8 KiB (orientation, six band masks
+	// and the word factor per 64-bit word), so the default keeps about
+	// 8,000 rows' cell state live; the bands of the retention and column
+	// uniforms add 6 KiB each to the rows that use them. Evicted rows
+	// rebuild deterministically on next touch.
 	defaultCellCacheBytes = 64 << 20
 
 	// cacheMinRowsPerShard keeps eviction from thrashing the active
 	// working set (a double-sided hammer touches a victim and four
 	// neighbours) even under an adversarially small budget.
 	cacheMinRowsPerShard = 8
+
+	// numBands is the number of weak-cell bands per word (see bandOf).
+	numBands = 6
+
+	// powMargin is the absolute slack on the flip-probability bound
+	// max(1, wf)*p >= 1-(1-p)^wf. The inequality is exact in real
+	// arithmetic; math.Pow and the rounding of 1-p move the computed
+	// right side by a few 1e-16 at most.
+	powMargin = 1e-12
 )
 
-// cellArrays is the materialized per-cell randomness of one row. All
-// fields are immutable once built (builds happen under the shard lock;
-// readers that observed the build under the same lock may use the arrays
-// lock-free afterwards).
+// bandLevel holds the upper levels of bands 0..numBands-2; the last band
+// holds every uniform at or above the last level.
+var bandLevel = [numBands - 1]float64{0x1p-10, 0x1p-8, 0x1p-6, 0x1p-4, 0x1p-2}
+
+// bandOf returns the band of the uniform (x+0.5)/2^53 of a 53-bit draw x:
+// band i < numBands-1 holds uniforms in [bandLevel[i-1], bandLevel[i])
+// (from 0 for band 0). The uniform is below 2^-k exactly when x < 2^(53-k),
+// that is when bits.Len64(x) <= 53-k, so two bit lengths map to each band.
+func bandOf(x uint64) int { return (bits.Len64(x|1<<42) - 42) >> 1 }
+
+// bandsFor returns how many bands, counted from band 0, hold every cell
+// whose uniform can be below b: those under the smallest level above b,
+// or all of them when no level is above b.
+func bandsFor(b float64) int {
+	n := 1
+	for n < numBands && bandLevel[n-1] <= b {
+		n++
+	}
+	return n
+}
+
+// bandSet holds numBands masks per 64-bit word, band-major: mask
+// i*words+w has a bit set for each cell of word w in band i. Every cell is
+// in exactly one band. Band 0 of a row is contiguous, so the scan a call
+// near the flip threshold makes reads one mask per word from 1 KiB.
+type bandSet []uint64
+
+// below returns the cells of word w in the first n bands.
+func (bs bandSet) below(w, n int) uint64 {
+	words := len(bs) / numBands
+	var c uint64
+	for i := 0; i < n; i++ {
+		c |= bs[i*words+w]
+	}
+	return c
+}
+
+// cands returns the cells of word w, whose word factor is wf, that can
+// have a uniform below the word's flip-probability bound
+// wordBound(max(1, wf), maxP): those in the bands under the first level
+// above it. nRow, the band count for the row's largest word factor, is the
+// call's row-wide prefilter, so a word with no cell in those bands costs
+// one lookup.
+func (bs bandSet) cands(w, nRow int, wf, maxP float64) uint64 {
+	c := bs.below(w, nRow)
+	if c != 0 && nRow > 1 {
+		if n := bandsFor(wordBound(math.Max(1, wf), maxP)); n < nRow {
+			c = bs.below(w, n)
+		}
+	}
+	return c
+}
+
+// wordBound bounds the flip probability 1-(1-p)^wf of a cell in a word
+// with wfB = max(1, wf): it is at most max(1, wf)*p, plus powMargin for
+// rounding (TestEffPBound). A cell whose uniform is not below it cannot
+// flip at p.
+func wordBound(wfB, p float64) float64 { return wfB*p + powMargin }
+
+// set stores the band masks of word w.
+func (bs bandSet) set(w int, band *[numBands]uint64) {
+	words := len(bs) / numBands
+	for i, m := range band {
+		bs[i*words+w] = m
+	}
+}
+
+// cellArrays is the materialized per-cell state of one row. orient, ham
+// and wf are immutable once built; ret and col are set once, under the
+// shard lock, and read only by callers that observed them under it.
 type cellArrays struct {
-	// h holds the per-cell splitmix64 draw h(idx) the model derives every
-	// per-cell quantity from: the threshold uniform u = (h>>11 + 0.5)/2^53,
-	// the orientation bit h&0x7FF, and the retention uniform
-	// unit(splitmix64(h ^ saltRetention)).
-	h []uint64
-	// wf is the per-64-bit-word cluster factor (mean-one log-normal).
-	wf []float64
-	// maxWF is max(wf), used for the conservative word-skip ceiling.
-	maxWF float64
-	// wordMinU is the minimum threshold uniform of each word: a whole word
-	// provably produces no hammer flips when its minimum u is at or above
-	// the call's effective-probability ceiling.
-	wordMinU []float64
 	// orient is the orientation bitmask (bit set = true cell, stores
 	// charge for logical 1). The true-cell fraction depends only on the
 	// chip seed and the row's die, so the mask is cut in the same pass
-	// that draws h.
+	// that sorts the cells into bands.
 	orient []uint64
-	// retMinU is the per-word minimum retention uniform, built lazily on
-	// the first retention-active evaluation of the row.
-	retMinU []float64
-	retOK   bool
-	// bytes is the cache charge for this row (all arrays, including the
-	// lazily built ones, so eviction accounting never moves).
+	// ham holds the bands of the threshold uniform u = (h>>11 + 0.5)/2^53.
+	// It shares one allocation with orient.
+	ham bandSet
+	// ret and col hold the bands of the retention uniform
+	// unit(splitmix64(h ^ saltRetention)) and the column-disturb uniform
+	// unit(splitmix64(h ^ saltCol)); nil until first used.
+	ret, col bandSet
+	// wf is the per-64-bit-word cluster factor (mean-one log-normal).
+	wf []float64
+	// bytes is the cache charge for this row; it grows when ret or col is
+	// built.
 	bytes int64
 }
 
@@ -106,9 +181,10 @@ type rowEntry struct {
 	// calibGen when the anchored curve is too; 0 means never computed.
 	baseGen, calibGen uint64
 
-	// Terms of the row-level skip bound that no generation changes: the
-	// bound's word factor max(1, max wf), and the pattern jitter of the
-	// last victim fill byte seen (both positive once computed, 0 before).
+	// Terms that no generation changes: max(1, max wf), the word factor
+	// of the row-level skip bound and of the kernels' band prefilter
+	// (boundWFLocked), and the pattern jitter of the last victim fill byte
+	// seen (both positive once computed, 0 before).
 	boundWF float64
 	patJit  float64
 	patByte byte
@@ -211,51 +287,49 @@ func (m *Model) lockEntry(loc RowLoc) (*calibShard, *rowEntry) {
 }
 
 // ensureCellsLocked materializes (or LRU-refreshes) the row's cell
-// arrays: one pass over the per-cell hash stream filling h, the
-// orientation mask and the per-word minima, then the word-cluster
-// factors. Also derives the row's minU anchor the first time.
+// arrays: one pass over the per-cell hash stream filling the orientation
+// mask and the threshold-uniform bands, then the word-cluster factors.
+// Also derives the row's minU anchor the first time.
 func (m *Model) ensureCellsLocked(s *calibShard, e *rowEntry) *cellArrays {
 	if e.cells != nil {
 		s.lruTouch(e)
 		return e.cells
 	}
 	words := (m.rowBits + 63) / 64
+	buf := make([]uint64, words*(1+numBands))
 	ca := &cellArrays{
-		h:        make([]uint64, m.rowBits),
-		wf:       make([]float64, words),
-		wordMinU: make([]float64, words),
-		orient:   make([]uint64, words),
-		bytes:    int64(m.rowBits)*8 + int64(words)*8*4,
-	}
-	for w := range ca.wordMinU {
-		ca.wordMinU[w] = 1
+		orient: buf[:words:words],
+		ham:    bandSet(buf[words:]),
+		wf:     make([]float64, words),
+		bytes:  int64(len(buf)+words) * 8,
 	}
 	cut := uint64(m.pTrueOf(dieOfN(e.loc.Channel, m.org.Channels)) * (1 << 11))
-	minU := 1.0
-	for idx := 0; idx < m.rowBits; idx++ {
-		h := splitmix64(e.rowSeed + uint64(idx)*cellStride)
-		ca.h[idx] = h
-		// Branch-free h&0x7FF < cut: the difference wraps to a set top
-		// bit exactly when the cell is a true cell.
-		ca.orient[idx>>6] |= (h&0x7FF - cut) >> 63 << (uint(idx) & 63)
-		u := (float64(h>>11) + 0.5) / (1 << 53)
-		if u < ca.wordMinU[idx>>6] {
-			ca.wordMinU[idx>>6] = u
+	minX := uint64(math.MaxUint64)
+	seed := e.rowSeed // rowSeed + idx*cellStride
+	for w := range ca.orient {
+		var orient uint64
+		var band [numBands]uint64
+		for k := 0; k < 64 && w<<6+k < m.rowBits; k++ {
+			h := splitmix64(seed)
+			seed += cellStride
+			// Branch-free h&0x7FF < cut: the difference wraps to a set top
+			// bit exactly when the cell is a true cell.
+			orient |= (h&0x7FF - cut) >> 63 << k
+			x := h >> 11
+			band[bandOf(x)] |= 1 << k
+			minX = min(minX, x)
 		}
-		if u < minU {
-			minU = u
-		}
+		ca.orient[w] = orient
+		ca.ham.set(w, &band)
 	}
 	wordSeed := hashN(e.rowSeed, saltWord) // hashN(rowSeed, saltWord, w) = mix(wordSeed, w)
-	for w := 0; w < words; w++ {
-		wf := wordFactor(mix(wordSeed, uint64(w)))
-		ca.wf[w] = wf
-		if wf > ca.maxWF {
-			ca.maxWF = wf
-		}
+	for w := range ca.wf {
+		ca.wf[w] = wordFactor(mix(wordSeed, uint64(w)))
 	}
 	if !e.haveMinU {
-		e.minU, e.haveMinU = minU, true
+		// u is monotone in h>>11, so the weakest cell's uniform is the
+		// uniform of the smallest draw.
+		e.minU, e.haveMinU = (float64(minX)+0.5)/(1<<53), true
 	}
 	e.cells = ca
 	s.lruPushFront(e)
@@ -265,6 +339,31 @@ func (m *Model) ensureCellsLocked(s *calibShard, e *rowEntry) *cellArrays {
 	}
 	m.evictShardLocked(s)
 	return ca
+}
+
+// ensureBandsLocked returns the bands of the row's uniform
+// unit(splitmix64(h ^ salt)) held in *bs (ca.ret or ca.col), building them
+// on first use and charging them to the shard's budget.
+func (m *Model) ensureBandsLocked(s *calibShard, e *rowEntry, ca *cellArrays, bs *bandSet, salt uint64) bandSet {
+	if *bs != nil {
+		return *bs
+	}
+	b := make(bandSet, len(ca.orient)*numBands)
+	seed := e.rowSeed // rowSeed + idx*cellStride
+	for w := range ca.orient {
+		var band [numBands]uint64
+		for k := 0; k < 64 && w<<6+k < m.rowBits; k++ {
+			band[bandOf(splitmix64(splitmix64(seed)^salt)>>11)] |= 1 << k
+			seed += cellStride
+		}
+		b.set(w, &band)
+	}
+	*bs = b
+	n := int64(len(b)) * 8
+	ca.bytes += n
+	s.liveBytes += n
+	m.evictShardLocked(s)
+	return b
 }
 
 // ensureBaseLocked returns the row's minU-free calibration terms for the
@@ -282,9 +381,12 @@ func (m *Model) ensureBaseLocked(e *rowEntry) *rowCalib {
 // temperature/age generation, recomputing it from the cached minU anchor
 // when stale. The full-row scan is only ever paid once per row (inside
 // ensureCellsLocked), no matter how often temperature or age changes.
-func (m *Model) ensureCalibLocked(s *calibShard, e *rowEntry) rowCalib {
+// The calibration is not written again until the generation changes, and
+// SetTempC and SetAgeMonths must not run concurrently with evaluation, so
+// callers may read through the returned pointer after unlocking.
+func (m *Model) ensureCalibLocked(s *calibShard, e *rowEntry) *rowCalib {
 	if e.calibGen == m.gen+1 {
-		return e.calib
+		return &e.calib
 	}
 	base := *m.ensureBaseLocked(e)
 	if !e.haveMinU {
@@ -292,45 +394,26 @@ func (m *Model) ensureCalibLocked(s *calibShard, e *rowEntry) rowCalib {
 	}
 	e.calib = m.anchor(base, e.minU)
 	e.calibGen = m.gen + 1
-	return e.calib
-}
-
-// ensureRetMinsLocked builds the per-word minimum retention uniforms,
-// letting retention-active evaluations skip whole words the same way the
-// hammer path does.
-func ensureRetMinsLocked(ca *cellArrays) {
-	if ca.retOK {
-		return
-	}
-	rm := make([]float64, len(ca.wordMinU))
-	for w := range rm {
-		rm[w] = 1
-	}
-	for idx, h := range ca.h {
-		if u := unit(splitmix64(h ^ saltRetention)); u < rm[idx>>6] {
-			rm[idx>>6] = u
-		}
-	}
-	ca.retMinU = rm
-	ca.retOK = true
+	return &e.calib
 }
 
 // prepareRow returns everything ColFlipMask needs in one trip through the
-// shard lock: a current calibration and the row's immutable cell arrays.
-func (m *Model) prepareRow(loc RowLoc) (rowCalib, *cellArrays) {
+// shard lock: a current calibration, the row's cell arrays, its
+// column-uniform bands and its max(1, max wf).
+func (m *Model) prepareRow(loc RowLoc) (rc *rowCalib, ca *cellArrays, col bandSet, wfB float64) {
 	s, e := m.lockEntry(loc)
-	ca := m.ensureCellsLocked(s, e)
-	rc := m.ensureCalibLocked(s, e)
-	s.mu.Unlock()
-	return rc, ca
+	defer s.mu.Unlock()
+	ca = m.ensureCellsLocked(s, e)
+	return m.ensureCalibLocked(s, e), ca, m.ensureBandsLocked(s, e, ca, &ca.col, saltCol), m.boundWFLocked(e)
 }
 
 // prepareFlip is prepareRow for FlipMask. It also returns the row's
 // pattern jitter for the victim's fill byte and, for a hammer-only call,
 // first checks the row-level skip bound, which needs no cell state: skip
 // reports that the call provably flips nothing, and then no cell arrays
-// were built. Retention minima are built when the call needs them.
-func (m *Model) prepareFlip(loc RowLoc, victimByte byte, dose Dose, hammer, retention bool) (rc rowCalib, ca *cellArrays, patJit float64, skip bool) {
+// were built. The retention-uniform bands (ret) are returned when the call
+// needs them, and wfB is the row's max(1, max wf).
+func (m *Model) prepareFlip(loc RowLoc, victimByte byte, dose Dose, hammer, retention bool) (rc *rowCalib, ca *cellArrays, ret bandSet, patJit, wfB float64, skip bool) {
 	s, e := m.lockEntry(loc)
 	defer s.mu.Unlock()
 	if hammer {
@@ -339,15 +422,15 @@ func (m *Model) prepareFlip(loc RowLoc, victimByte byte, dose Dose, hammer, rete
 		}
 		patJit = e.patJit
 		if !retention && m.belowFlipBound(e, dose, patJit) {
-			return rowCalib{}, nil, patJit, true
+			return nil, nil, nil, patJit, 0, true
 		}
 	}
 	ca = m.ensureCellsLocked(s, e)
 	rc = m.ensureCalibLocked(s, e)
 	if retention {
-		ensureRetMinsLocked(ca)
+		ret = m.ensureBandsLocked(s, e, ca, &ca.ret, saltRetention)
 	}
-	return rc, ca, patJit, false
+	return rc, ca, ret, patJit, m.boundWFLocked(e), false
 }
 
 // belowFlipBound reports whether a hammer-only dose provably flips no
@@ -378,10 +461,17 @@ func (m *Model) belowFlipBound(e *rowEntry, dose Dose, patJit float64) bool {
 	if !(delta < -m.zEligGap) {
 		return false
 	}
+	return m.boundWFLocked(e)*stats.NormalCDF(m.zJunction-0.3+delta) < m.boundCeil
+}
+
+// boundWFLocked returns the row's max(1, max wf), computing it on first
+// use. It needs no cell state, and it stays cached when the cell arrays
+// are evicted. TestBoundWordFactor checks it against the built arrays.
+func (m *Model) boundWFLocked(e *rowEntry) float64 {
 	if e.boundWF == 0 {
 		e.boundWF = math.Max(1, m.maxWordFactor(e.rowSeed))
 	}
-	return e.boundWF*stats.NormalCDF(m.zJunction-0.3+delta) < m.boundCeil
+	return e.boundWF
 }
 
 // maxWordFactor returns the largest word-cluster factor of a row without

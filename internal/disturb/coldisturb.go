@@ -2,7 +2,6 @@ package disturb
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"math/bits"
 
@@ -52,74 +51,46 @@ const (
 
 // ColFlipMask evaluates which bits of a victim row flip after `reads`
 // column reads through an open aggressor row `dist` rows away (signed;
-// only |dist| matters). victim is the row's stored image; agg is the
-// aggressor's image at the time of the reads (nil means never written,
-// treated as all-zero). The flip mask is OR-ed into dst (len(victim)
+// only |dist| matters). victim is the row's stored image, one full row of
+// whole 64-bit words; agg is the aggressor's image at the time of the
+// reads (nil means never written, treated as all-zero), and a non-nil one
+// must cover the victim. The flip mask is OR-ed into dst (len(victim)
 // bytes) and the number of newly set mask bits is returned.
 //
 // The caller (internal/hbm) gates on subarray membership and blast
 // radius; the model only prices the coupling.
 func (m *Model) ColFlipMask(loc RowLoc, victim, agg []byte, dist, reads int, dst []byte) (int, error) {
-	if len(dst) != len(victim) {
-		return 0, fmt.Errorf("disturb: dst length %d != victim length %d", len(dst), len(victim))
-	}
-	if len(victim) != m.org.RowBytes || m.rowBits&63 != 0 {
-		return 0, fmt.Errorf("disturb: column disturb wants a full %d-byte row, got %d bytes", m.org.RowBytes, len(victim))
-	}
-	if agg != nil && len(agg) < len(victim) {
-		return 0, fmt.Errorf("disturb: aggressor image %d bytes, victim %d", len(agg), len(victim))
+	if err := m.checkRow(victim, dst, agg, nil); err != nil {
+		return 0, err
 	}
 	if reads <= 0 || dist == 0 {
 		return 0, nil
 	}
-	if dist < 0 {
-		dist = -dist
-	}
-
-	rc, ca := m.prepareRow(loc)
-	lnRow := colLnBase + colDistAlpha*math.Log(float64(dist)) + colRowSigma*normal(mix(rc.rowSeed, saltCol))
-	lnReads := math.Log(float64(reads))
-
-	// Per-combo flip-probability cutoffs. Combo index bits:
-	// bit0 aggressor bitline cell opposite, bit1 orientation (1 = true cell).
-	oppF := [2]float64{1, colOppCouple}
-	var pcrit [4]float64
-	maxP := 0.0
-	for combo := 0; combo < 4; combo++ {
-		couple := oppF[combo&1] * rc.orientC[(combo>>1)&1]
-		p := stats.NormalCDF((lnReads + math.Log(couple) - lnRow) / colCellSigma)
-		pcrit[combo] = p
-		if p > maxP {
-			maxP = p
-		}
-	}
+	rc, ca, col, rowWFB := m.prepareRow(loc)
+	pcrit, maxP := colP(rc, dist, reads)
 	if maxP <= 0 {
 		return 0, nil
 	}
-	// Conservative per-word ceiling, mirroring FlipMask's word skip: the
-	// vulnerability transform p -> 1-(1-p)^wf is increasing in both terms.
-	pEffCeil := 1.0
-	if maxP < 1 {
-		pEffCeil = 1 - math.Pow(1-maxP, ca.maxWF)
-		for i := 0; i < 4; i++ {
-			pEffCeil = math.Nextafter(pEffCeil, 2)
-		}
-	}
-	if pEffCeil <= 0 {
-		return 0, nil
-	}
 
+	// As in FlipMask: a cell flips only if its column uniform is below
+	// 1-(1-p)^wf <= max(1,wf)*p, so a word's flips all sit in the column
+	// bands under the first level above its bound (bandSet.cands), at most
+	// the first nRow.
+	nRow := bandsFor(wordBound(rowWFB, maxP))
 	words := len(victim) >> 3
 	flips := 0
 	var pEff [4]float64
 	var pEffOK [4]bool
 	for w := 0; w < words; w++ {
+		c := col.cands(w, nRow, ca.wf[w], maxP)
+		if c == 0 {
+			continue
+		}
 		off := w << 3
 		v := binary.LittleEndian.Uint64(victim[off:])
 		orient := ca.orient[w]
 		// Eligible: only a cell stored in its charged state can lose charge.
-		elig := ^(v ^ orient)
-		if elig == 0 {
+		if c &= ^(v ^ orient); c == 0 {
 			continue
 		}
 		var a uint64
@@ -128,27 +99,21 @@ func (m *Model) ColFlipMask(loc RowLoc, victim, agg []byte, dist, reads int, dst
 		}
 		opp := v ^ a
 		wfW := ca.wf[w]
+		wfB := math.Max(1, wfW)
 		pEffOK = [4]bool{}
 		var maskW uint64
-		for e := elig; e != 0; e &= e - 1 {
-			k := uint(bits.TrailingZeros64(e))
+		for ; c != 0; c &= c - 1 {
+			k := uint(bits.TrailingZeros64(c))
 			combo := int(((opp >> k) & 1) | ((orient>>k)&1)<<1)
-			if !pEffOK[combo] {
-				switch p := pcrit[combo]; {
-				case p <= 0:
-					pEff[combo] = 0
-				case p >= 1:
-					pEff[combo] = 1
-				default:
-					pEff[combo] = 1 - math.Pow(1-p, wfW)
+			// saltCol decorrelates the column draw from the hammer
+			// threshold uniform (h>>11) and the retention draw
+			// (h^saltRetention) of the same cell.
+			uc := unit(splitmix64(splitmix64(rc.rowSeed+uint64(w<<6|int(k))*cellStride) ^ saltCol))
+			if p := pcrit[combo]; uc < wordBound(wfB, p) {
+				if !pEffOK[combo] {
+					pEff[combo], pEffOK[combo] = effP(p, wfW), true
 				}
-				pEffOK[combo] = true
-			}
-			if pe := pEff[combo]; pe > 0 {
-				// saltCol decorrelates the column draw from the hammer
-				// threshold uniform (h>>11) and the retention draw
-				// (h^saltRetention) of the same cell.
-				if unit(splitmix64(ca.h[w<<6|int(k)]^saltCol)) < pe {
+				if uc < pEff[combo] {
 					maskW |= 1 << k
 				}
 			}
@@ -160,4 +125,26 @@ func (m *Model) ColFlipMask(loc RowLoc, victim, agg []byte, dist, reads int, dst
 		}
 	}
 	return flips, nil
+}
+
+// colP returns the flip-probability cutoff per coupling combo of `reads`
+// column reads at row distance dist (non-zero), and their maximum. Combo
+// index bits: bit0 aggressor bitline cell opposite, bit1 orientation
+// (1 = true cell).
+func colP(rc *rowCalib, dist, reads int) (pcrit [4]float64, maxP float64) {
+	if dist < 0 {
+		dist = -dist
+	}
+	lnRow := colLnBase + colDistAlpha*math.Log(float64(dist)) + colRowSigma*normal(mix(rc.rowSeed, saltCol))
+	lnReads := math.Log(float64(reads))
+	oppF := [2]float64{1, colOppCouple}
+	for combo := 0; combo < 4; combo++ {
+		couple := oppF[combo&1] * rc.orientC[(combo>>1)&1]
+		p := stats.NormalCDF((lnReads + math.Log(couple) - lnRow) / colCellSigma)
+		pcrit[combo] = p
+		if p > maxP {
+			maxP = p
+		}
+	}
+	return pcrit, maxP
 }

@@ -148,8 +148,8 @@ func BenchmarkCalibFirstTouch(b *testing.B) {
 	}
 }
 
-// BenchmarkTrialJitter measures the per-epoch dose-jitter draw issued on
-// every row restore.
+// BenchmarkTrialJitter measures the per-epoch dose-jitter draw the device
+// issues at the first dose a row takes after each restore.
 func BenchmarkTrialJitter(b *testing.B) {
 	m := benchFlipModel(b)
 	loc := RowLoc{Channel: 2, Pseudo: 1, Bank: 7, Row: 1234}
@@ -157,5 +157,50 @@ func BenchmarkTrialJitter(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.TrialJitter(loc, uint64(i))
+	}
+}
+
+// BenchmarkColFlipMask measures the column-disturb kernel at the coldist
+// sweep's flip-measurement point (10,000 reads at distance 1, opposite
+// aggressor data). warmRow re-evaluates rows whose cell state and column
+// bands are built; firstTouch targets a never-seen row per iteration and
+// pays both builds.
+func BenchmarkColFlipMask(b *testing.B) {
+	for _, warm := range []bool{true, false} {
+		name := "warmRow"
+		if !warm {
+			name = "firstTouch"
+		}
+		b.Run(name, func(b *testing.B) {
+			m := benchFlipModel(b)
+			victim := benchFillRow(0x55)
+			agg := benchFillRow(0xAA)
+			dst := make([]byte, RowBytes)
+			loc := func(i int) RowLoc {
+				if warm {
+					i &= 3
+				}
+				return RowLoc{Channel: i & 7, Pseudo: (i >> 3) & 1, Bank: (i >> 4) & 15, Row: (i >> 8) % RowsPerBank}
+			}
+			for i := 0; warm && i < 4; i++ {
+				if _, err := m.ColFlipMask(loc(i), victim, agg, 1, 10_000, dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			total := 0
+			for i := 0; i < b.N; i++ {
+				for j := range dst {
+					dst[j] = 0
+				}
+				n, err := m.ColFlipMask(loc(i), victim, agg, 1, 10_000, dst)
+				if err != nil {
+					b.Fatal(err)
+				}
+				total += n
+			}
+			b.ReportMetric(float64(total)/float64(b.N), "flips/op")
+		})
 	}
 }

@@ -6,14 +6,17 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"hbmrd/internal/stats"
 )
 
 // These tests enforce the determinism contract stated in the package doc:
 // the per-cell hash stream is the spec, evaluation order is not. The
-// word-level fast path in FlipMask must produce byte-identical masks (and
-// identical new-flip counts) to the scalar reference for every
-// combination of images, doses and retention times — including after
-// cache eviction, temperature changes, and under concurrency.
+// word-level kernel in FlipMask must produce byte-identical masks (and
+// identical new-flip counts) to the scalar reference (oracle_test.go) for
+// every combination of images, doses and retention times — including at
+// the weak-cell band levels, after cache eviction, temperature changes,
+// and under concurrency.
 
 // prng is a tiny deterministic byte stream for building test images.
 type prng struct{ s uint64 }
@@ -144,7 +147,101 @@ func TestFlipMaskMatchesScalar(t *testing.T) {
 				}
 			}
 		}
+
+		// Band edges. For a word of each row, doses whose bound
+		// max(1, wf)*maxP + powMargin lands within 1e-9 (relative) on
+		// either side of each band level, hammer-only and with retention
+		// active; then retention times whose pRet lands on either side of
+		// each level, each evaluated on a fresh model where the call
+		// itself builds the row's retention bands - on an untouched row,
+		// and on one whose hammer bands a dose past the bound already
+		// built.
+		check := func(m *Model, loc RowLoc, victim, aggr []byte, dose Dose, ret float64) {
+			t.Helper()
+			dstFast := make([]byte, RowBytes)
+			dstRef := make([]byte, RowBytes)
+			nFast, err := m.FlipMask(loc, victim, aggr, aggr, dose, ret, dstFast)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nRef, err := mRef.flipMaskScalar(mRef.calibRow(loc), victim, aggr, aggr, dose, ret, dstRef)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if nFast != nRef || !bytes.Equal(dstFast, dstRef) {
+				t.Fatalf("chip %d loc %+v dose %+v ret %v: fast (%d flips) != scalar (%d flips)",
+					chip, loc, dose, ret, nFast, nRef)
+			}
+		}
+		for i := 0; i < 6; i++ {
+			loc := RowLoc{Channel: (i * 3) % 8, Pseudo: i % 2, Bank: (i*7 + 1) % 16, Row: 1200 + i*2039}
+			victim := equivImages([]string{"checkered", "random", "ones", "zero"}[i%4], r)
+			aggr := equivImages([]string{"random", "checkered"}[i%2], r)
+			rc := mFast.calibRow(loc)
+			patJit := patJitter(rc.rowSeed, victim[0])
+			for _, w := range []int{0, RowBytes / 16} {
+				wfB := math.Max(1, wordFactor(hashN(rc.rowSeed, saltWord, uint64(w))))
+				bound := func(d float64) float64 {
+					_, maxP := mFast.comboP(&rc, Dose{Above: d, Below: d}, patJit)
+					return wfB*maxP + powMargin
+				}
+				for _, level := range bandLevel {
+					lo, hi := straddle(t, bound, level, 1e-3, 1e12)
+					for _, d := range []float64{lo, hi} {
+						check(mFast, loc, victim, aggr, Dose{Above: d, Below: d}, 0)
+						check(mFast, loc, victim, aggr, Dose{Above: d, Below: d}, 0.031)
+					}
+				}
+			}
+			pRet := func(sec float64) float64 { return stats.NormalCDF((math.Log(sec) - rc.lnRet) / retSigma) }
+			for _, level := range bandLevel {
+				lo, hi := straddle(t, pRet, level, retMinElapsedSec*1.01, 1e12)
+				for _, sec := range []float64{lo, hi} {
+					for _, dose := range []Dose{{}, {Above: 16_000, Below: 16_000}} {
+						for _, hammerFirst := range []bool{false, true} {
+							fresh, err := NewModel(p)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if hammerFirst {
+								if _, err := fresh.FlipMask(loc, victim, aggr, aggr, Dose{Above: refHammer, Below: refHammer}, 0, make([]byte, RowBytes)); err != nil {
+									t.Fatal(err)
+								}
+							}
+							s, e := fresh.lockEntry(loc)
+							built := e.cells != nil && e.cells.ret != nil
+							s.mu.Unlock()
+							if built {
+								t.Fatalf("chip %d loc %+v: retention bands built before the first retention-active call", chip, loc)
+							}
+							check(fresh, loc, victim, aggr, dose, sec)
+						}
+					}
+				}
+			}
+		}
 	}
+}
+
+// straddle bisects an increasing f over [lo, hi] for the point where it
+// reaches level, and returns arguments just below and at it whose values
+// lie within 1e-9 (relative) of level on either side.
+func straddle(t *testing.T, f func(float64) float64, level, lo, hi float64) (below, at float64) {
+	t.Helper()
+	if f(lo) >= level || f(hi) < level {
+		t.Fatalf("level %g not crossed in [%g, %g]", level, lo, hi)
+	}
+	for i := 0; i < 200 && hi/lo > 1+1e-15; i++ {
+		if mid := math.Sqrt(lo * hi); f(mid) >= level {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	if fl, fh := f(lo), f(hi); fl >= level || fh < level || level/fl-1 > 1e-9 || fh/level-1 > 1e-9 {
+		t.Fatalf("level %g: straddle values %.17g and %.17g", level, fl, fh)
+	}
+	return lo, hi
 }
 
 // boundDose returns the symmetric per-side dose at which the row-level
@@ -277,10 +374,11 @@ func TestFlipMaskEvictionIsInvisible(t *testing.T) {
 	}
 }
 
-// TestFlipMaskConcurrent drives FlipMask and TrialJitter from many
-// goroutines over overlapping rows (same bank = same shard, plus spread
-// banks) and checks every result against a serial reference. Run with
-// -race in CI.
+// TestFlipMaskConcurrent drives FlipMask, ColFlipMask and TrialJitter
+// from many goroutines over overlapping rows (same bank = same shard, plus
+// spread banks), so the lazily built retention and column bands are built
+// under contention, and checks every result against a serial reference.
+// Run with -race in CI.
 func TestFlipMaskConcurrent(t *testing.T) {
 	p, err := BuiltinProfile(3)
 	if err != nil {
@@ -299,8 +397,8 @@ func TestFlipMaskConcurrent(t *testing.T) {
 	dose := Dose{Above: 180_000, Below: 180_000}
 
 	type job struct {
-		loc  RowLoc
-		want []byte
+		loc           RowLoc
+		want, colWant []byte
 	}
 	var jobs []job
 	for i := 0; i < 48; i++ {
@@ -309,7 +407,11 @@ func TestFlipMaskConcurrent(t *testing.T) {
 		if _, err := ref.FlipMask(loc, victim, aggr, aggr, dose, 50, want); err != nil {
 			t.Fatal(err)
 		}
-		jobs = append(jobs, job{loc, want})
+		colWant := make([]byte, RowBytes)
+		if _, err := ref.ColFlipMask(loc, victim, aggr, 1+i%3, 10_000, colWant); err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, job{loc, want, colWant})
 	}
 
 	var wg sync.WaitGroup
@@ -319,12 +421,23 @@ func TestFlipMaskConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i, j := range jobs {
+				// Odd workers take the column call first, so each lazy
+				// band set is built by whichever call gets there first.
 				got := make([]byte, RowBytes)
-				if _, err := m.FlipMask(j.loc, victim, aggr, aggr, dose, 50, got); err != nil {
-					errs <- err
-					return
+				colGot := make([]byte, RowBytes)
+				for k := 0; k < 2; k++ {
+					var err error
+					if (k+w)%2 == 0 {
+						_, err = m.FlipMask(j.loc, victim, aggr, aggr, dose, 50, got)
+					} else {
+						_, err = m.ColFlipMask(j.loc, victim, aggr, 1+i%3, 10_000, colGot)
+					}
+					if err != nil {
+						errs <- err
+						return
+					}
 				}
-				if !bytes.Equal(got, j.want) {
+				if !bytes.Equal(got, j.want) || !bytes.Equal(colGot, j.colWant) {
 					errs <- fmt.Errorf("worker %d job %d: concurrent mask differs from serial reference", w, i)
 					return
 				}
@@ -339,38 +452,44 @@ func TestFlipMaskConcurrent(t *testing.T) {
 	}
 }
 
-// TestFlipMaskScalarFallbackLengths covers the non-word-aligned entry
-// conditions (short rows, short neighbour images) that route through the
-// scalar path.
+// TestFlipMaskScalarFallbackLengths pins the shape check of the two
+// kernels, which have no scalar fallback: a victim that is not one full
+// row of whole 64-bit words, or a neighbour image shorter than the victim,
+// is an error that leaves dst untouched - never a panic.
 func TestFlipMaskScalarFallbackLengths(t *testing.T) {
 	m := newTestModel(t, 0)
 	loc := RowLoc{Channel: 0, Pseudo: 0, Bank: 0, Row: 42}
-	for _, n := range []int{0, 5, 64, 1000} {
-		victim := make([]byte, n)
-		for i := range victim {
-			victim[i] = 0x55
-		}
+	dose := Dose{Above: 2e5, Below: 2e5}
+	untouched := func(dst []byte) bool { return bytes.Count(dst, []byte{0}) == len(dst) }
+	for _, n := range []int{0, 5, 64, 1000, RowBytes - 1, RowBytes + 8} {
+		victim := bytes.Repeat([]byte{0x55}, n)
 		dst := make([]byte, n)
-		if _, err := m.FlipMask(loc, victim, nil, nil, Dose{Above: 1e5, Below: 1e5}, 0, dst); err != nil {
-			t.Fatalf("len %d: %v", n, err)
+		if _, err := m.FlipMask(loc, victim, nil, nil, dose, 600, dst); err == nil || !untouched(dst) {
+			t.Errorf("FlipMask on a %d-byte victim: err %v, dst untouched %v", n, err, untouched(dst))
+		}
+		if _, err := m.ColFlipMask(loc, victim, nil, 1, 1e6, dst); err == nil || !untouched(dst) {
+			t.Errorf("ColFlipMask on a %d-byte victim: err %v, dst untouched %v", n, err, untouched(dst))
 		}
 	}
-	// Short neighbour image: must not panic, must match a scalar run.
 	victim := fillRow(0x55)
-	short := make([]byte, 100)
-	for i := range short {
-		short[i] = 0xAA
+	short := bytes.Repeat([]byte{0xAA}, 100)
+	for _, nb := range [][2][]byte{{short, nil}, {nil, short}, {fillRow(0xAA), short}} {
+		dst := make([]byte, RowBytes)
+		if _, err := m.FlipMask(loc, victim, nb[0], nb[1], dose, 0, dst); err == nil || !untouched(dst) {
+			t.Errorf("short neighbour (%d, %d bytes): err %v, dst untouched %v", len(nb[0]), len(nb[1]), err, untouched(dst))
+		}
 	}
-	dFast := make([]byte, RowBytes)
-	dRef := make([]byte, RowBytes)
-	if _, err := m.FlipMask(loc, victim, short, nil, Dose{Above: 2e5, Below: 2e5}, 0, dFast); err != nil {
+	dst := make([]byte, RowBytes)
+	if _, err := m.ColFlipMask(loc, victim, short, 1, 1e6, dst); err == nil || !untouched(dst) {
+		t.Errorf("short aggressor image: err %v, dst untouched %v", err, untouched(dst))
+	}
+	// An organization whose rows are not whole words rejects its own rows.
+	odd, err := NewModelFor(m.Profile(), Org{Channels: 8, RowsPerBank: 1024, RowBytes: 1020})
+	if err != nil {
 		t.Fatal(err)
 	}
-	ref := newTestModel(t, 0)
-	if _, err := ref.flipMaskScalar(ref.calibRow(loc), victim, short, nil, Dose{Above: 2e5, Below: 2e5}, 0, dRef); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(dFast, dRef) {
-		t.Fatal("short-neighbour call diverged from scalar reference")
+	victim = bytes.Repeat([]byte{0x55}, 1020)
+	if _, err := odd.FlipMask(loc, victim, nil, nil, dose, 0, make([]byte, 1020)); err == nil {
+		t.Error("FlipMask accepted a row of 1020 bytes")
 	}
 }

@@ -225,13 +225,13 @@ type Model struct {
 
 	// gen is the calibration generation, bumped by SetTempC/SetAgeMonths;
 	// cached per-row calibrations are lazily recomputed when stale. The
-	// per-cell state (hash draws, orientation, word factors) never depends
-	// on temperature or age and survives generation bumps.
+	// per-cell state (orientation, word factors, weak-cell bands) never
+	// depends on temperature or age and survives generation bumps.
 	gen uint64
 
 	// Per-bank sharded row cache (see cellstate.go): calibration plus the
-	// materialized per-cell randomness behind cacheBudget bytes of LRU,
-	// split among the shards that currently hold live arrays.
+	// per-cell arrays behind cacheBudget bytes of LRU, split among the
+	// shards that currently hold live arrays.
 	cacheBudget  int64
 	activeShards atomic.Int64
 	shards       [cacheShards]calibShard
@@ -334,7 +334,7 @@ type rowCalib struct {
 
 func (m *Model) calibRow(loc RowLoc) rowCalib {
 	s, e := m.lockEntry(loc)
-	rc := m.ensureCalibLocked(s, e)
+	rc := *m.ensureCalibLocked(s, e)
 	s.mu.Unlock()
 	return rc
 }
@@ -472,7 +472,7 @@ func dieHCFactor(p Profile, die int) float64 {
 
 // thresholdCDF returns the probability that a cell's threshold quantile lies
 // below the effective ln dose, i.e. the per-cell flip probability cutoff.
-func (m *Model) thresholdCDF(rc rowCalib, lnDc float64) float64 {
+func (m *Model) thresholdCDF(rc *rowCalib, lnDc float64) float64 {
 	if math.IsInf(lnDc, -1) {
 		return 0
 	}
@@ -500,90 +500,57 @@ func (m *Model) TrialJitter(loc RowLoc, epoch uint64) float64 {
 
 // FlipMask evaluates which bits of the victim row flip given the
 // accumulated dose and the time elapsed since the row was last restored.
-// victim is the row's stored image; above and below are the current images
-// of the physically adjacent rows (nil means never written, treated as
-// all-zero). The flip mask is OR-ed into dst (which must have len(victim)
-// bytes) and the number of newly set mask bits is returned.
+// victim is the row's stored image, one full row of whole 64-bit words;
+// above and below are the current images of the physically adjacent rows
+// (nil means never written, treated as all-zero), and a non-nil one must
+// cover the victim. The flip mask is OR-ed into dst (which must have
+// len(victim) bytes) and the number of newly set mask bits is returned.
 //
 // Determinism contract: the flip decision of every cell is a fixed
 // function of the per-cell hash stream (see cellstate.go); evaluation
-// order is unspecified. The word-level fast path below and the scalar
-// fallback produce byte-identical masks (enforced by TestFlipMaskMatchesScalar
-// and the repo-level golden-digest test).
+// order is unspecified. The word-level kernel below visits only the cells
+// of each word's weak-cell bands that can flip; TestFlipMaskMatchesScalar
+// checks its masks byte for byte against a per-cell reference sweep that
+// lives in test code, and the repo-level golden digests pin them.
 func (m *Model) FlipMask(loc RowLoc, victim, above, below []byte, dose Dose, retElapsedSec float64, dst []byte) (int, error) {
-	if len(dst) != len(victim) {
-		return 0, fmt.Errorf("disturb: dst length %d != victim length %d", len(dst), len(victim))
+	if err := m.checkRow(victim, dst, above, below); err != nil {
+		return 0, err
 	}
 	hammer := dose.Above > 0 || dose.Below > 0
 	retention := retElapsedSec > retMinElapsedSec
 	if !hammer && !retention {
 		return 0, nil
 	}
-	// The word-at-a-time path wants whole 64-bit words of the organization's
-	// row size, with neighbour images that cover the victim; anything else
-	// (odd buffer lengths, short neighbours) takes the scalar path.
-	if len(victim) != m.org.RowBytes || m.rowBits&63 != 0 ||
-		(above != nil && len(above) < len(victim)) ||
-		(below != nil && len(below) < len(victim)) {
-		return m.flipMaskScalar(m.calibRow(loc), victim, above, below, dose, retElapsedSec, dst)
-	}
-
-	rc, ca, patJit, skip := m.prepareFlip(loc, victim[0], dose, hammer, retention)
+	rc, ca, ret, patJit, rowWFB, skip := m.prepareFlip(loc, victim[0], dose, hammer, retention)
 	if skip {
 		return 0, nil
 	}
 
-	// Per-combo flip-probability cutoffs. Combo index bits:
-	// bit0 aggressor-above opposite, bit1 aggressor-below opposite,
-	// bit2 intra-row neighbour differs, bit3 orientation (1 = true cell).
 	var pcrit [16]float64
 	maxP := 0.0
 	if hammer {
-		aggF := [2]float64{coupleAggrSame, coupleAggrOpp}
-		intraF := [2]float64{coupleIntraSame, coupleIntraDiff}
-		for combo := 0; combo < 16; combo++ {
-			deff := dose.Above*aggF[combo&1] + dose.Below*aggF[(combo>>1)&1]
-			if deff <= 0 {
-				continue
-			}
-			couple := intraF[(combo>>2)&1] * rc.orientC[(combo>>3)&1] * patJit
-			p := m.thresholdCDF(rc, math.Log(deff*couple))
-			pcrit[combo] = p
-			if p > maxP {
-				maxP = p
-			}
-		}
+		pcrit, maxP = m.comboP(rc, dose, patJit)
 	}
-
+	// A retention flip needs the cell's retention uniform below pRet, so
+	// only the nRet retention bands under the first level above pRet can
+	// hold one (nRet is 0 when retention is inactive).
 	var pRet float64
+	nRet := 0
 	if retention {
-		pRet = stats.NormalCDF((math.Log(retElapsedSec) - rc.lnRet) / retSigma)
-		if pRet <= 0 {
-			retention = false
+		if pRet = stats.NormalCDF((math.Log(retElapsedSec) - rc.lnRet) / retSigma); pRet > 0 {
+			nRet = bandsFor(pRet)
 		}
 	}
-	// Early exit when every combo cutoff underflowed to zero (doses far
-	// below the row's tail regime) and retention is inactive: no cell can
-	// flip, so skip the row entirely.
-	if !retention && maxP <= 0 {
-		return 0, nil
-	}
-
-	// Conservative ceiling on any cell's effective flip probability this
-	// call: pEff = 1-(1-p)^wf is increasing in both p and wf, so
-	// 1-(1-maxP)^maxWF bounds every (combo, word) pair. Nudged up a few
-	// ulps so math.Pow rounding can never rank a word's exact pEff above
-	// the ceiling used to skip it.
-	pEffCeil := 0.0
+	// A cell flips under hammer only if u < 1-(1-p)^wf <= max(1,wf)*p, so
+	// every hammer flip of a word sits in the bands under the first level
+	// above the word's bound (bandSet.cands): the first nHam bands for the
+	// row's largest word factor, fewer for most words.
+	nHam := 0
 	if maxP > 0 {
-		if maxP >= 1 {
-			pEffCeil = 1
-		} else {
-			pEffCeil = 1 - math.Pow(1-maxP, ca.maxWF)
-			for i := 0; i < 4; i++ {
-				pEffCeil = math.Nextafter(pEffCeil, 2)
-			}
-		}
+		nHam = bandsFor(wordBound(rowWFB, maxP))
+	}
+	if nRet == 0 && nHam == 0 {
+		return 0, nil
 	}
 
 	words := len(victim) >> 3
@@ -591,13 +558,14 @@ func (m *Model) FlipMask(loc RowLoc, victim, above, below []byte, dose Dose, ret
 	var pEff [16]float64
 	var pEffOK [16]bool
 	for w := 0; w < words; w++ {
-		// Whole-word skips: a word provably holds no hammer flip when its
-		// minimum uniform clears the probability ceiling, and no retention
-		// flip when it clears pRet. In near-threshold sweeps (HCfirst
-		// searches) virtually every word skips, making the row O(words).
-		hamW := pEffCeil > 0 && ca.wordMinU[w] < pEffCeil
-		retW := retention && pRet > ca.retMinU[w]
-		if !hamW && !retW {
+		var hamC, retC uint64
+		if nHam > 0 {
+			hamC = ca.ham.cands(w, nHam, ca.wf[w], maxP)
+		}
+		if nRet > 0 {
+			retC = ret.below(w, nRet)
+		}
+		if hamC|retC == 0 {
 			continue
 		}
 		off := w << 3
@@ -606,11 +574,13 @@ func (m *Model) FlipMask(loc RowLoc, victim, above, below []byte, dose Dose, ret
 		// Eligible: only a cell stored in its charged state can lose
 		// charge. True cells (orient bit 1) store charge for logical 1.
 		elig := ^(v ^ orient)
-		if elig == 0 {
+		hamC &= elig
+		retC &= elig
+		if hamC|retC == 0 {
 			continue
 		}
 		var oppA, oppB, intra uint64
-		if hamW {
+		if hamC != 0 {
 			var a, bw uint64
 			if above != nil {
 				a = binary.LittleEndian.Uint64(above[off:])
@@ -639,32 +609,26 @@ func (m *Model) FlipMask(loc RowLoc, victim, above, below []byte, dose Dose, ret
 			pEffOK = [16]bool{}
 		}
 		wfW := ca.wf[w]
+		wfB := math.Max(1, wfW)
 		var maskW uint64
-		for e := elig; e != 0; e &= e - 1 {
-			k := uint(bits.TrailingZeros64(e))
+		for c := hamC | retC; c != 0; c &= c - 1 {
+			k := uint(bits.TrailingZeros64(c))
+			h := splitmix64(rc.rowSeed + uint64(w<<6|int(k))*cellStride)
 			flip := false
-			if hamW {
+			if hamC>>k&1 != 0 {
 				combo := int(((oppA >> k) & 1) | ((oppB>>k)&1)<<1 | ((intra>>k)&1)<<2 | ((orient>>k)&1)<<3)
-				if !pEffOK[combo] {
-					// Word-vulnerability transform p -> 1-(1-p)^wf preserves
-					// small-probability scaling (~p*wf) and saturation.
-					switch p := pcrit[combo]; {
-					case p <= 0:
-						pEff[combo] = 0
-					case p >= 1:
-						pEff[combo] = 1
-					default:
-						pEff[combo] = 1 - math.Pow(1-p, wfW)
+				u := (float64(h>>11) + 0.5) / (1 << 53)
+				// The exact pEff (and its math.Pow) is needed only when u
+				// is under the combo's bound.
+				if p := pcrit[combo]; u < wordBound(wfB, p) {
+					if !pEffOK[combo] {
+						pEff[combo], pEffOK[combo] = effP(p, wfW), true
 					}
-					pEffOK[combo] = true
-				}
-				if pe := pEff[combo]; pe > 0 {
-					u := (float64(ca.h[w<<6|int(k)]>>11) + 0.5) / (1 << 53)
-					flip = u < pe
+					flip = u < pEff[combo]
 				}
 			}
-			if !flip && retW {
-				flip = unit(splitmix64(ca.h[w<<6|int(k)]^saltRetention)) < pRet
+			if !flip && retC>>k&1 != 0 {
+				flip = unit(splitmix64(h^saltRetention)) < pRet
 			}
 			if flip {
 				maskW |= 1 << k
@@ -679,158 +643,55 @@ func (m *Model) FlipMask(loc RowLoc, victim, above, below []byte, dose Dose, ret
 	return flips, nil
 }
 
-// flipMaskScalar is the reference per-cell evaluation: one hash, one
-// classification and one compare per bit, in index order. It handles any
-// buffer length and is the executable specification the word-level fast
-// path must match bit-for-bit.
-func (m *Model) flipMaskScalar(rc rowCalib, victim, above, below []byte, dose Dose, retElapsedSec float64, dst []byte) (int, error) {
-	hammer := dose.Above > 0 || dose.Below > 0
-	retention := retElapsedSec > retMinElapsedSec
-
-	// Per-combo flip-probability cutoffs. Combo index bits:
-	// bit0 aggressor-above opposite, bit1 aggressor-below opposite,
-	// bit2 intra-row neighbour differs, bit3 orientation (1 = true cell).
-	var pcrit [16]float64
-	if hammer {
-		victimByte := byte(0)
-		if len(victim) > 0 {
-			victimByte = victim[0]
+// comboP returns a hammer dose's flip-probability cutoff per coupling
+// combo, and their maximum. Combo index bits: bit0 aggressor-above
+// opposite, bit1 aggressor-below opposite, bit2 intra-row neighbour
+// differs, bit3 orientation (1 = true cell).
+func (m *Model) comboP(rc *rowCalib, dose Dose, patJit float64) (pcrit [16]float64, maxP float64) {
+	aggF := [2]float64{coupleAggrSame, coupleAggrOpp}
+	intraF := [2]float64{coupleIntraSame, coupleIntraDiff}
+	for combo := 0; combo < 16; combo++ {
+		deff := dose.Above*aggF[combo&1] + dose.Below*aggF[(combo>>1)&1]
+		if deff <= 0 {
+			continue
 		}
-		patJit := lognormal(hashN(rc.rowSeed, saltPatJit, uint64(victimByte)), 0, patJitterSigma)
-		aggF := [2]float64{coupleAggrSame, coupleAggrOpp}
-		intraF := [2]float64{coupleIntraSame, coupleIntraDiff}
-		for combo := 0; combo < 16; combo++ {
-			oppA := combo & 1
-			oppB := (combo >> 1) & 1
-			intra := (combo >> 2) & 1
-			orient := (combo >> 3) & 1
-			deff := dose.Above*aggF[oppA] + dose.Below*aggF[oppB]
-			if deff <= 0 {
-				continue
-			}
-			couple := intraF[intra] * rc.orientC[orient] * patJit
-			pcrit[combo] = m.thresholdCDF(rc, math.Log(deff*couple))
+		couple := intraF[(combo>>2)&1] * rc.orientC[(combo>>3)&1] * patJit
+		p := m.thresholdCDF(rc, math.Log(deff*couple))
+		pcrit[combo] = p
+		if p > maxP {
+			maxP = p
 		}
 	}
-
-	var pRet float64
-	if retention {
-		pRet = stats.NormalCDF((math.Log(retElapsedSec) - rc.lnRet) / retSigma)
-		if pRet <= 0 {
-			retention = false
-		}
-	}
-	if !retention && !hammer {
-		return 0, nil
-	}
-
-	pTrueCut := uint64(rc.pTrue * (1 << 11))
-	flips := 0
-	n := len(victim)
-	// Per-word flip probabilities: pcrit transformed by the mean-one
-	// word-vulnerability factor via p -> 1-(1-p)^wf, which preserves both
-	// small-probability scaling (~p*wf) and saturation (p=1 stays 1).
-	// Cached lazily per (word, combo).
-	wordFactor := 1.0
-	var pEff [16]float64
-	var pEffOK [16]bool
-	for i := 0; i < n; i++ {
-		if hammer && i%8 == 0 {
-			h := hashN(rc.rowSeed, saltWord, uint64(i/8))
-			wordFactor = math.Exp(wordClusterSigma*normal(h) - wordClusterSigma*wordClusterSigma/2)
-			pEffOK = [16]bool{}
-		}
-		vb := victim[i]
-		ab := byteAt(above, i)
-		bb := byteAt(below, i)
-		prevB := byteAt(victim, i-1)
-		nextB := byteAt(victim, i+1)
-		var maskByte byte
-		for j := 0; j < 8; j++ {
-			bit := (vb >> j) & 1
-			h := splitmix64(rc.rowSeed + uint64(i*8+j)*cellStride)
-			orient := byte(0)
-			if h&0x7FF < pTrueCut {
-				orient = 1
-			}
-			// Eligible: only a cell stored in its charged state can lose
-			// charge. True cells (orient=1) store charge for logical 1.
-			if bit != orient {
-				continue
-			}
-			flip := false
-			if hammer {
-				// Intra-row neighbours (handle row edges).
-				left := bit
-				if i > 0 || j > 0 {
-					left = bitAt(vb, prevB, j-1)
-				}
-				right := bit
-				if i < n-1 || j < 7 {
-					right = bitAt(vb, nextB, j+1)
-				}
-				intra := 0
-				if left != bit || right != bit {
-					intra = 1
-				}
-				oppA := 0
-				if (ab>>j)&1 != bit {
-					oppA = 1
-				}
-				oppB := 0
-				if (bb>>j)&1 != bit {
-					oppB = 1
-				}
-				combo := oppA | oppB<<1 | intra<<2 | int(orient)<<3
-				if !pEffOK[combo] {
-					switch p := pcrit[combo]; {
-					case p <= 0:
-						pEff[combo] = 0
-					case p >= 1:
-						pEff[combo] = 1
-					default:
-						pEff[combo] = 1 - math.Pow(1-p, wordFactor)
-					}
-					pEffOK[combo] = true
-				}
-				u := (float64(h>>11) + 0.5) / (1 << 53)
-				flip = u < pEff[combo]
-			}
-			if !flip && retention {
-				uRet := unit(splitmix64(h ^ saltRetention))
-				flip = uRet < pRet
-			}
-			if flip {
-				maskByte |= 1 << j
-			}
-		}
-		if maskByte != 0 {
-			newBits := maskByte &^ dst[i]
-			flips += bits.OnesCount8(newBits)
-			dst[i] |= maskByte
-		}
-	}
-	return flips, nil
+	return pcrit, maxP
 }
 
-// byteAt returns buf[i] or 0 when buf is nil or i out of range (unwritten
-// rows read as zero).
-func byteAt(buf []byte, i int) byte {
-	if buf == nil || i < 0 || i >= len(buf) {
-		return 0
-	}
-	return buf[i]
-}
-
-// bitAt returns bit j of cur when 0<=j<8, else the wrapped bit of the
-// adjacent byte (j=-1 -> adjacent bit 7; j=8 -> adjacent bit 0).
-func bitAt(cur, adjacent byte, j int) byte {
+// effP is the word-vulnerability transform p -> 1-(1-p)^wf, which keeps
+// small-probability scaling (~p*wf) and saturation (p=1 stays 1). It never
+// exceeds max(1, wf)*p + powMargin (TestEffPBound).
+func effP(p, wf float64) float64 {
 	switch {
-	case j < 0:
-		return (adjacent >> 7) & 1
-	case j > 7:
-		return adjacent & 1
-	default:
-		return (cur >> j) & 1
+	case p <= 0:
+		return 0
+	case p >= 1:
+		return 1
 	}
+	return 1 - math.Pow(1-p, wf)
+}
+
+// checkRow validates the images FlipMask and ColFlipMask take: victim and
+// dst are one full row of whole 64-bit words, and each non-nil neighbour
+// image covers the victim.
+func (m *Model) checkRow(victim, dst, nbr1, nbr2 []byte) error {
+	if len(dst) != len(victim) {
+		return fmt.Errorf("disturb: dst length %d != victim length %d", len(dst), len(victim))
+	}
+	if len(victim) != m.org.RowBytes || m.rowBits&63 != 0 {
+		return fmt.Errorf("disturb: want a full %d-byte row of 64-bit words, got %d bytes", m.org.RowBytes, len(victim))
+	}
+	for _, n := range [2][]byte{nbr1, nbr2} {
+		if n != nil && len(n) < len(victim) {
+			return fmt.Errorf("disturb: neighbour image %d bytes, victim %d", len(n), len(victim))
+		}
+	}
+	return nil
 }

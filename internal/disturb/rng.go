@@ -25,27 +25,42 @@
 // NOT part of the contract — FlipMask may visit cells in any order, skip
 // whole words it can prove flip-free, or consult cached intermediates, but
 // the resulting mask must be byte-identical to a naive per-cell sweep.
-// TestFlipMaskMatchesScalar and the repository-level golden-digest test
-// enforce this.
+// TestFlipMaskMatchesScalar and TestColFlipMaskMatchesScalar (against
+// per-cell oracles in test code) and the repository-level golden-digest
+// test enforce this.
 //
 // # Cell-state cache
 //
 // Model caches, per touched row and sharded by bank (so concurrent sweep
 // workers on different channels never share a lock): the derived
-// calibration curve, and the materialized per-cell randomness — hash
-// draws, orientation bitmask, per-word cluster factors and per-word
-// minimum uniforms — that FlipMask's word-at-a-time fast path consumes.
-// Calibrations are tiny and cached forever; the per-cell arrays
-// (~8 B/cell, ~68 KiB per 1 KiB row) are bounded by a per-model byte
-// budget (default 64 MiB, see Model.SetCellCacheBytes) with LRU eviction.
-// Eviction only costs a deterministic rebuild on next touch; it can never
-// change results.
+// calibration curve, and a summary of the per-cell randomness that the
+// word-at-a-time kernels read. No per-cell hash is stored. Per 64-bit
+// word the cache holds the orientation bits, the word's cluster factor,
+// and weak-cell band masks: each cell's threshold uniform falls in one of
+// six bands bounded by the levels 2^-10, 2^-8, 2^-6, 2^-4 and 2^-2, and
+// one mask per band marks the word's cells in it. That is 8 KiB per 1 KiB
+// row. The retention and column-disturb uniforms get the same bands,
+// 6 KiB each, built on the row's first retention-active FlipMask and
+// first ColFlipMask. Calibrations are tiny and cached forever; the cell
+// arrays are bounded by a per-model byte budget (default 64 MiB, see
+// Model.SetCellCacheBytes) with LRU eviction. Eviction only costs a
+// deterministic rebuild on next touch; it can never change results.
 //
-// The per-cell arrays are built, in one pass over the hash stream, only
-// when an evaluation can flip a cell. A hammer-only FlipMask first checks
-// a row-level bound on terms that need no cell state (the calibration
-// terms that do not depend on the row's weakest cell, the pattern jitter
-// and the largest word factor); a dose below it provably flips nothing
+// A cell flips only if its uniform is below the call's effective flip
+// probability, and 1-(1-p)^wf <= max(1, wf)*p. So FlipMask and
+// ColFlipMask bound each word's probabilities by max(1, wf)*maxP plus a
+// margin for math.Pow rounding, visit only the eligible cells in the bands
+// under the smallest level above that bound, and recompute those cells'
+// hashes. Every other cell's uniform is above the level, so it cannot
+// flip. Near the HCfirst threshold almost every word has no cell under
+// 2^-10 and is skipped after one mask load; ColFlipMask skips words the
+// same way.
+//
+// The cell arrays are built, in one pass over the hash stream, only when
+// an evaluation can flip a cell. A hammer-only FlipMask first checks a
+// row-level bound on terms that need no cell state (the calibration terms
+// that do not depend on the row's weakest cell, the pattern jitter and
+// the largest word factor); a dose below it provably flips nothing
 // whatever the weakest cell turns out to be, so the call returns without
 // drawing a single cell. The proof is on belowFlipBound in cellstate.go.
 package disturb

@@ -52,7 +52,9 @@ type rowState struct {
 	// epoch counts restores (activate/refresh/write cycles); it seeds the
 	// per-trial dose jitter.
 	epoch uint64
-	// jitter is the cached trial-jitter multiplier for the current epoch.
+	// jitter is the trial-jitter multiplier for the current epoch, drawn
+	// at the epoch's first dose; 0 until then (the log-normal draw is
+	// never 0).
 	jitter float64
 	// lastRestore is when the row's cells last had full charge.
 	lastRestore TimePS
@@ -102,10 +104,7 @@ func (b *bank) row(phys int, now TimePS) *rowState {
 	if rs, ok := b.rows[phys]; ok {
 		return rs
 	}
-	rs := &rowState{
-		lastRestore: now,
-		jitter:      b.ch.chip.model.TrialJitter(b.ch.rowLoc(b.pseudo, b.index, phys), 0),
-	}
+	rs := &rowState{lastRestore: now}
 	b.rows[phys] = rs
 	return rs
 }

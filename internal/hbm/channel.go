@@ -121,7 +121,7 @@ func (ch *Channel) activateLocked(pc, bankIdx, logicalRow int, overwrite bool) e
 	if !overwrite {
 		ch.materializeLocked(pc, bankIdx, b, phys, rs)
 	}
-	ch.rechargeLocked(pc, bankIdx, phys, rs)
+	ch.rechargeLocked(rs)
 
 	b.open = true
 	b.openLogical = logicalRow
@@ -192,6 +192,9 @@ func (ch *Channel) applyDoseLocked(pc, bankIdx int, b *bank, physRow, count int,
 				continue
 			}
 			vrs := b.row(victim, ch.now)
+			if vrs.jitter == 0 {
+				vrs.jitter = ch.chip.model.TrialJitter(ch.rowLoc(pc, bankIdx, victim), vrs.epoch)
+			}
 			dose := base * d.weight * vrs.jitter
 			if sign > 0 {
 				// Aggressor is above... no: victim = physRow + dist means
@@ -209,7 +212,7 @@ func (ch *Channel) applyDoseLocked(pc, bankIdx int, b *bank, physRow, count int,
 // full charge (dose and retention clock reset, epoch advance).
 func (ch *Channel) restoreLocked(pc, bankIdx int, b *bank, phys int, rs *rowState) {
 	ch.materializeLocked(pc, bankIdx, b, phys, rs)
-	ch.rechargeLocked(pc, bankIdx, phys, rs)
+	ch.rechargeLocked(rs)
 }
 
 // materializeLocked applies the flips of the row's pending disturbance to
@@ -262,15 +265,15 @@ func (ch *Channel) materializeLocked(pc, bankIdx int, b *bank, phys int, rs *row
 }
 
 // rechargeLocked restores the row's full charge: pending doses and the
-// retention clock reset, and the restore epoch advances (reseeding the
-// row's trial jitter).
-func (ch *Channel) rechargeLocked(pc, bankIdx, phys int, rs *rowState) {
+// retention clock reset, and the restore epoch advances (the row's trial
+// jitter is redrawn for the new epoch at its first dose).
+func (ch *Channel) rechargeLocked(rs *rowState) {
 	rs.doseAbove = 0
 	rs.doseBelow = 0
 	rs.colDoses = nil
 	rs.lastRestore = ch.now
 	rs.epoch++
-	rs.jitter = ch.chip.model.TrialJitter(ch.rowLoc(pc, bankIdx, phys), rs.epoch)
+	rs.jitter = 0
 }
 
 // applyColDisturbLocked queues one column-read burst's bitline

@@ -101,6 +101,8 @@ func BenchmarkQueryFig5ColdMiss(b *testing.B) {
 
 // BenchmarkColumnarDecode isolates the artifact decode from the query on
 // top of it: bytes in memory to a ColumnSet ready for ComputeColumnar.
+// full parses every column; projected parses only the two columns of a
+// per-chip HCfirst spec, as the engine's cold path does.
 func BenchmarkColumnarDecode(b *testing.B) {
 	n := 16 * 1024
 	recs := benchHCFirstRecords(n)
@@ -110,17 +112,27 @@ func BenchmarkColumnarDecode(b *testing.B) {
 		b.Fatal(err)
 	}
 	data := art.Bytes()
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cs, err := core.DecodeColumnar(bytes.NewReader(data))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if cs.Len() != n {
-			b.Fatal("short decode")
-		}
+	cols := specColumns(Spec{Sweep: benchSweepFP, GroupBy: []string{"chip"}, Metric: "hcfirst"})
+	for _, bc := range []struct {
+		name string
+		want func(string) bool
+	}{
+		{"full", nil},
+		{"projected", func(name string) bool { return cols[name] }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cs, err := core.DecodeColumnarProjected(bytes.NewReader(data), bc.want)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if cs.Len() != n {
+					b.Fatal("short decode")
+				}
+			}
+		})
 	}
 }
 

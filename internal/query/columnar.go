@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 
 	"hbmrd/internal/core"
 )
@@ -62,4 +63,27 @@ func columnarSource(kind core.Kind, cs *core.ColumnSet, env Env) (rowSource, err
 			return nil
 		},
 	}, nil
+}
+
+// specColumns returns the record columns a spec can read: the columns
+// behind its metric, group-by and where names in every kind's vocabulary.
+// Taking every kind keeps the set complete whatever kind the twin turns
+// out to hold; a name no kind declares adds nothing and fails later as a
+// spec error.
+func specColumns(spec Spec) map[string]bool {
+	names := append([]string{spec.Metric}, spec.GroupBy...)
+	for _, w := range spec.Where {
+		names = append(names, w.Dim)
+	}
+	cols := map[string]bool{}
+	for _, fields := range kindFields {
+		for _, f := range fields {
+			if slices.Contains(names, f.name) {
+				for _, c := range f.cols {
+					cols[c] = true
+				}
+			}
+		}
+	}
+	return cols
 }

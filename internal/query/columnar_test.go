@@ -148,10 +148,11 @@ func equivSpecs(t *testing.T, kind core.Kind, sweep string) []Spec {
 
 // TestColumnarComputeEquivalence pins the query vocabulary's correctness
 // for every registered kind: ComputeColumnar over the encoded artifact
-// and over the typed records' columns both produce Aggregate JSON
-// byte-identical to the flatten reference (computeFlatten) for every
-// figure preset applicable to each kind, under every preset geometry's
-// rank environment. The flatten path is the oracle; any divergence is a
+// (fully decoded, and decoded with the engine's projection to the
+// spec's columns) and over the typed records' columns all produce
+// Aggregate JSON byte-identical to the flatten reference (computeFlatten)
+// for every figure preset applicable to each kind, under every preset
+// geometry's rank environment. The flatten path is the oracle; any divergence is a
 // bug in the field table or the column accessors.
 func TestColumnarComputeEquivalence(t *testing.T) {
 	t.Parallel()
@@ -220,7 +221,22 @@ func TestColumnarComputeEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("computeRecords(%+v): %v", spec, err)
 					}
-					for path, agg := range map[string]*Aggregate{"columnar": col, "records": fromRecs} {
+					// The engine's projected decode: only the columns the
+					// spec's names read are parsed.
+					cspec, err := spec.Canonical()
+					if err != nil {
+						t.Fatal(err)
+					}
+					cols := specColumns(cspec)
+					pcs, err := core.DecodeColumnarProjected(bytes.NewReader(art.Bytes()), func(name string) bool { return cols[name] })
+					if err != nil {
+						t.Fatalf("projected decode for %+v: %v", spec, err)
+					}
+					projected, err := ComputeColumnar(pcs, spec, env)
+					if err != nil {
+						t.Fatalf("ComputeColumnar over the projected decode (%+v): %v", spec, err)
+					}
+					for path, agg := range map[string]*Aggregate{"columnar": col, "records": fromRecs, "projected": projected} {
 						got, err := json.Marshal(agg)
 						if err != nil {
 							t.Fatal(err)

@@ -33,12 +33,18 @@
 // On a derived-cache miss the engine reads the store's columnar twin
 // (results.hbmc) and feeds its columns, through the accessors each kind's
 // fields declare (kindFields), into the single computeOver pipeline
-// without materializing records. TestColumnarComputeEquivalence checks
-// that pipeline against a test-only row-map oracle for every figure
-// preset. The twin is derived data: one that does not decode or holds
-// another sweep is dropped, a missing or dropped one is rebuilt once from
-// the JSONL of record (store.EnsureColumnar) and read again, and a twin
-// that cannot be rebuilt fails the query. Dimensions derived from the
+// without materializing records. The decode is projected: it parses only
+// the payloads of the columns the spec's metric, group-by and where names
+// read, while still framing every column and checking the schema and the
+// artifact's length. TestColumnarComputeEquivalence checks that pipeline,
+// over the full and the projected decode, against a test-only row-map
+// oracle for every figure preset. The twin is derived data: one that does
+// not decode or holds another sweep is dropped, a missing or dropped one
+// is rebuilt once from the JSONL of record (store.EnsureColumnar) and
+// read again, and a twin that cannot be rebuilt fails the query. A
+// damaged payload in a column the spec does not read is found by the
+// first query that reads that column (and a flipped bit inside a varint
+// can decode without error either way). Dimensions derived from the
 // sweep's recorded geometry (the rank axis, rank = bank/banksPerRank)
 // resolve through Env.
 package query
@@ -709,7 +715,8 @@ func (e *Engine) computeColumnar(cspec Spec) (*Aggregate, error) {
 		return nil, err
 	}
 	defer rc.Close()
-	cs, err := core.DecodeColumnar(rc)
+	cols := specColumns(cspec)
+	cs, err := core.DecodeColumnarProjected(rc, func(name string) bool { return cols[name] })
 	if err != nil {
 		return nil, err
 	}

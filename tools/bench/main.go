@@ -34,16 +34,17 @@ import (
 	"time"
 )
 
-// defaultBench selects the kernels that bound sweep throughput, one
-// end-to-end figure benchmark, the query read path (a cold miss over the
-// stored columnar twin and one that first rebuilds a deleted twin from
-// the JSONL, plus the columnar artifact decode and encode), the
+// defaultBench selects the kernels that bound sweep throughput (the
+// wordline FlipMask and the bitline ColFlipMask), one end-to-end figure
+// benchmark, the query read path (a cold miss over the stored columnar
+// twin and one that first rebuilds a deleted twin from the JSONL, plus
+// the columnar artifact decode, full and projected, and encode), the
 // distributed fabric (shard-stream merge, 2-worker-vs-local sweep
 // throughput, and the coordinator control-plane overhead with its
 // polls/sweep and poll-wait-share metrics), and the telemetry overhead
 // pair (enabled-vs-disabled on the fault-model kernel and the engine
 // cell loop; allocs/op must stay 0).
-const defaultBench = "FlipMaskHot|FlipMaskRetention|FlipMaskFirstTouch|CalibFirstTouch|TrialJitter|Fig5HCFirstAcrossChips|RowInitReadHotPath|HammerReadHotPath|HammerThroughput|SweepJobsScaling|StrictTimingRowOps|QueryFig5ColdMiss|ColumnarDecode|ColumnarEncode|ShardMerge|FabricSweep|FabricOverhead|TelemetryOverhead"
+const defaultBench = "FlipMaskHot|FlipMaskRetention|FlipMaskFirstTouch|ColFlipMask|CalibFirstTouch|TrialJitter|Fig5HCFirstAcrossChips|RowInitReadHotPath|HammerReadHotPath|HammerThroughput|SweepJobsScaling|StrictTimingRowOps|QueryFig5ColdMiss|ColumnarDecode|ColumnarEncode|ShardMerge|FabricSweep|FabricOverhead|TelemetryOverhead"
 
 // Result is one benchmark data point.
 type Result struct {
@@ -258,10 +259,17 @@ func newestBenchFile() (string, error) {
 	return matches[len(matches)-1], nil
 }
 
+// gitCommit returns the short HEAD commit, suffixed "-dirty" when tracked
+// files differ from it, so a point recorded on an uncommitted tree is not
+// filed under its parent commit.
 func gitCommit() string {
 	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
 	if err != nil {
 		return ""
 	}
-	return strings.TrimSpace(string(out))
+	commit := strings.TrimSpace(string(out))
+	if exec.Command("git", "diff", "--quiet", "HEAD").Run() != nil {
+		commit += "-dirty"
+	}
+	return commit
 }
