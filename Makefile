@@ -32,10 +32,13 @@ bench-check:
 # encode->decode->re-encode round trips - JSONL and the columnar
 # artifact - for every record type on every preset (guards
 # internal/core's DecodeRecords and the columnar codec against drift),
-# and the sharded-execution golden (a sweep split across in-process
-# workers must merge to the exact bytes of an uninterrupted local run).
+# the sharded-execution golden (a sweep split across in-process
+# workers must merge to the exact bytes of an uninterrupted local run),
+# and the figure-artifact check (every CLI figure artifact, fig16
+# included, prints what POST /query answers for its preset over the
+# artifact's -out file).
 golden:
-	go test -count=1 -run 'TestGoldenSweepDigest|PresetMatrixGoldenDigest|ResumeByteIdentity|RoundTripByteIdentity|GoldenShardedByteIdentity' ./...
+	go test -count=1 -run 'TestGoldenSweepDigest|PresetMatrixGoldenDigest|ResumeByteIdentity|RoundTripByteIdentity|GoldenShardedByteIdentity|FigureArtifactsMatchQuery' ./...
 
 # fabric-chaos runs the distributed-sweep failure-injection suite under
 # the race detector: dropped connections, injected 5xx, torn shard

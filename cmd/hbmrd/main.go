@@ -25,13 +25,17 @@
 // the sweep's plan cells under the shard's sub-fingerprint - the unit the
 // distributed fabric (hbmrdd -peers) dispatches to workers.
 //
-// Artifacts: table1 table2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11
-// fig12 fig13 fig14 fig15 fig16 fig17 trr attack defense all
+// Artifacts: geometries table1 table2 fig3 fig4 fig5 fig6 fig7 fig8 fig9
+// fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17 trr retention attack
+// defense vrd coldist all. vrd (per-cell HCfirst variability across
+// repeated trials, arXiv 2502.13075) and coldist (column-read
+// disturbance, arXiv 2510.14750) are the post-paper sweep kinds. -out,
+// -resume and -shard take one artifact's sweep, so they reject "all".
 //
-// The post-paper sweep kinds (vrd: per-cell HCfirst variability across
-// repeated trials, arXiv 2502.13075; coldist: column-read disturbance,
-// arXiv 2510.14750) run either as artifacts by name or through the -kind
-// flag: `hbmrd -kind vrd -out vrd.jsonl`.
+// A figure artifact with a query preset (fig4 fig5 fig6 fig7 fig9 fig13
+// fig14 fig16, and vrd and coldist through figvrd and figcoldist) prints
+// that preset's aggregate over the records it measured: exactly the table
+// `hbmrd query -figure <preset> -sweep <fp>` prints over its -out file.
 //
 // The query verb works against a local sweep store instead of running
 // experiments: `hbmrd query -ingest FILE` finalizes a completed -out file
@@ -60,6 +64,8 @@ import (
 	"time"
 
 	"hbmrd"
+	"hbmrd/internal/core"
+	"hbmrd/internal/report"
 )
 
 func main() {
@@ -103,20 +109,11 @@ func run(ctx context.Context, args []string) error {
 	outFlag := fs.String("out", "", "stream experiment records to this JSON Lines file")
 	resumeFlag := fs.String("resume", "", "resume a cancelled -out run from this JSON Lines file")
 	shardFlag := fs.String("shard", "", "run only plan cells START:END of the artifact's sweep (a distributed-fabric shard)")
-	kindFlag := fs.String("kind", "", `run one sweep kind directly ("vrd", "coldist") instead of naming an artifact`)
 	traceFlag := fs.String("trace-out", "", "write sweep-lifecycle spans (plan/cells/finalize) to this JSON Lines file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	switch {
-	case *kindFlag != "":
-		if fs.NArg() != 0 {
-			return fmt.Errorf("-kind %s replaces the artifact argument", *kindFlag)
-		}
-		if *kindFlag != "vrd" && *kindFlag != "coldist" {
-			return fmt.Errorf("unknown -kind %q (have: vrd, coldist)", *kindFlag)
-		}
-	case fs.NArg() != 1:
+	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: hbmrd [-full] [-chips 0,1] [-geometry PRESET] [-jobs N] [-progress] [-out FILE | -resume FILE] <artifact>; artifacts: %s", strings.Join(artifactNames(), " "))
 	}
 	if *resumeFlag != "" && *outFlag != "" {
@@ -149,14 +146,14 @@ func run(ctx context.Context, args []string) error {
 		}
 		c.shard = &hbmrd.ShardRange{Start: s, End: e}
 	}
-	// Reject unknown artifacts before -out truncates an existing results
-	// file over a typo.
+	// Reject unknown artifacts, and "all" with a results file, before
+	// -out truncates an existing results file.
 	name := fs.Arg(0)
-	if *kindFlag != "" {
-		name = *kindFlag
-	}
 	if _, known := artifacts()[name]; !known && name != "all" {
 		return fmt.Errorf("unknown artifact %q (have: %s)", name, strings.Join(artifactNames(), " "))
+	}
+	if name == "all" && (*outFlag != "" || *resumeFlag != "" || *shardFlag != "") {
+		return fmt.Errorf("-out, -resume and -shard take one artifact's sweep, not \"all\"")
 	}
 
 	// closeOut finalizes the -out/-resume stream; encode, sync, and close
@@ -173,9 +170,6 @@ func run(ctx context.Context, args []string) error {
 		}
 		outFile = f
 	case *resumeFlag != "":
-		if name == "all" {
-			return fmt.Errorf("-resume needs the single artifact the file was produced by, not \"all\"")
-		}
 		outPath = *resumeFlag
 		f, err := os.OpenFile(*resumeFlag, os.O_RDWR, 0)
 		if err != nil {
@@ -441,7 +435,7 @@ func (c runCtx) pick(demo, full int) int {
 }
 
 func artifacts() map[string]artifactFn {
-	return map[string]artifactFn{
+	m := map[string]artifactFn{
 		"geometries": func(context.Context, runCtx) (string, error) {
 			var b strings.Builder
 			fmt.Fprintf(&b, "%-18s %3s %3s %3s %5s %6s %8s %8s %6s %7s %5s  %s\n",
@@ -477,67 +471,6 @@ func artifacts() map[string]artifactFn {
 			return hbmrd.RenderFig3(names, traces), nil
 		},
 
-		"fig4": func(ctx context.Context, c runCtx) (string, error) {
-			fleet, err := c.fleet(hbmrd.AllChips())
-			if err != nil {
-				return "", err
-			}
-			recs, err := hbmrd.RunBERContext(ctx, fleet, hbmrd.BERConfig{
-				Rows: hbmrd.SampleRowsIn(fleet[0].Chip.Geometry(), c.pick(48, 16384)),
-				Reps: c.pick(2, 5),
-			}, c.runOpts()...)
-			if err != nil {
-				return "", err
-			}
-			return hbmrd.RenderFig4(recs), nil
-		},
-
-		"fig5": func(ctx context.Context, c runCtx) (string, error) {
-			fleet, err := c.fleet(hbmrd.AllChips())
-			if err != nil {
-				return "", err
-			}
-			recs, err := hbmrd.RunHCFirstContext(ctx, fleet, hbmrd.HCFirstConfig{
-				Rows:    hbmrd.SampleRowsIn(fleet[0].Chip.Geometry(), c.pick(12, 3072)),
-				Pseudos: pick2(c.full),
-				Reps:    c.pick(2, 5),
-			}, c.runOpts()...)
-			if err != nil {
-				return "", err
-			}
-			return hbmrd.RenderFig5(recs), nil
-		},
-
-		"fig6": func(ctx context.Context, c runCtx) (string, error) {
-			fleet, err := c.fleet(hbmrd.AllChips())
-			if err != nil {
-				return "", err
-			}
-			recs, err := hbmrd.RunBERContext(ctx, fleet, hbmrd.BERConfig{
-				Rows: hbmrd.SampleRowsIn(fleet[0].Chip.Geometry(), c.pick(32, 16384)),
-				Reps: c.pick(2, 5),
-			}, c.runOpts()...)
-			if err != nil {
-				return "", err
-			}
-			return hbmrd.RenderFig6(recs), nil
-		},
-
-		"fig7": func(ctx context.Context, c runCtx) (string, error) {
-			fleet, err := c.fleet(hbmrd.AllChips())
-			if err != nil {
-				return "", err
-			}
-			recs, err := hbmrd.RunHCFirstContext(ctx, fleet, hbmrd.HCFirstConfig{
-				Rows: hbmrd.SampleRowsIn(fleet[0].Chip.Geometry(), c.pick(10, 3072)),
-				Reps: c.pick(2, 5),
-			}, c.runOpts()...)
-			if err != nil {
-				return "", err
-			}
-			return hbmrd.RenderFig7(recs), nil
-		},
-
 		"fig8": func(ctx context.Context, c runCtx) (string, error) {
 			fleet, err := c.fleet([]int{0})
 			if err != nil {
@@ -560,31 +493,6 @@ func artifacts() map[string]artifactFn {
 				return "", err
 			}
 			return hbmrd.RenderFig8CSV(recs, bounds), nil
-		},
-
-		"fig9": func(ctx context.Context, c runCtx) (string, error) {
-			fleet, err := c.fleet([]int{0}) // the paper's Fig 9 is Chip 0
-			if err != nil {
-				return "", err
-			}
-			// Sweep every bank and pseudo channel the chip actually has
-			// (16 banks on the paper's HBM2 part; up to 64 across the ranks
-			// of the HBM3 multi-rank parts).
-			g := fleet[0].Chip.Geometry()
-			banks := make([]int, g.BanksPerPC())
-			for i := range banks {
-				banks[i] = i
-			}
-			recs, err := hbmrd.RunBERContext(ctx, fleet, hbmrd.BERConfig{
-				Pseudos: channelsN(g.PseudoChannels),
-				Banks:   banks,
-				Rows:    hbmrd.RegionRowsIn(g, c.pick(4, 100)),
-				Reps:    c.pick(1, 5),
-			}, c.runOpts()...)
-			if err != nil {
-				return "", err
-			}
-			return hbmrd.RenderFig9(recs), nil
 		},
 
 		"fig10": func(ctx context.Context, c runCtx) (string, error) {
@@ -624,36 +532,6 @@ func artifacts() map[string]artifactFn {
 			return hbmrd.RenderFig12(st), nil
 		},
 
-		"fig13": func(ctx context.Context, c runCtx) (string, error) {
-			fleet, err := c.fleet(hbmrd.AllChips())
-			if err != nil {
-				return "", err
-			}
-			recs, err := hbmrd.RunVariabilityContext(ctx, fleet, hbmrd.VariabilityConfig{
-				Rows:       hbmrd.SampleRowsIn(fleet[0].Chip.Geometry(), c.pick(8, 768)),
-				Iterations: c.pick(20, 50),
-			}, c.runOpts()...)
-			if err != nil {
-				return "", err
-			}
-			return hbmrd.RenderFig13(recs), nil
-		},
-
-		"fig14": func(ctx context.Context, c runCtx) (string, error) {
-			fleet, err := c.fleet(hbmrd.AllChips())
-			if err != nil {
-				return "", err
-			}
-			recs, err := hbmrd.RunRowPressBERContext(ctx, fleet, hbmrd.RowPressBERConfig{
-				Channels: channelsN(c.pick(2, 8)),
-				Rows:     hbmrd.RegionRowsIn(fleet[0].Chip.Geometry(), c.pick(4, 128)),
-			}, c.runOpts()...)
-			if err != nil {
-				return "", err
-			}
-			return hbmrd.RenderFig14(recs), nil
-		},
-
 		"fig15": func(ctx context.Context, c runCtx) (string, error) {
 			fleet, err := c.fleet(hbmrd.AllChips())
 			if err != nil {
@@ -667,28 +545,6 @@ func artifacts() map[string]artifactFn {
 				return "", err
 			}
 			return hbmrd.RenderFig15(recs), nil
-		},
-
-		"fig16": func(ctx context.Context, c runCtx) (string, error) {
-			fleet, err := c.fleet([]int{0}) // the paper's TRR chip
-			if err != nil {
-				return "", err
-			}
-			cfg := hbmrd.BypassConfig{
-				Victims: hbmrd.SampleRowsIn(fleet[0].Chip.Geometry(), c.pick(4, 32)),
-				AggActs: []int{18, 26, 34},
-			}
-			if !c.full {
-				cfg.Windows = 8205 // one refresh window instead of two
-			}
-			if c.full {
-				cfg.AggActs = []int{18, 20, 22, 24, 26, 28, 30, 32, 34}
-			}
-			recs, err := hbmrd.RunBypassContext(ctx, fleet, cfg, c.runOpts()...)
-			if err != nil {
-				return "", err
-			}
-			return hbmrd.RenderFig16(recs), nil
 		},
 
 		"fig17": func(ctx context.Context, c runCtx) (string, error) {
@@ -758,48 +614,6 @@ func artifacts() map[string]artifactFn {
 			return hbmrd.RenderDefense(rep), nil
 		},
 
-		"vrd": func(ctx context.Context, c runCtx) (string, error) {
-			fleet, err := c.fleet(hbmrd.AllChips())
-			if err != nil {
-				return "", err
-			}
-			recs, err := hbmrd.RunVRDContext(ctx, fleet, hbmrd.VRDConfig{
-				Rows:   hbmrd.SampleRowsIn(fleet[0].Chip.Geometry(), c.pick(6, 768)),
-				Trials: c.pick(5, 20),
-			}, c.runOpts()...)
-			if err != nil {
-				return "", err
-			}
-			return renderVRD(recs), nil
-		},
-
-		"coldist": func(ctx context.Context, c runCtx) (string, error) {
-			fleet, err := c.fleet(hbmrd.AllChips())
-			if err != nil {
-				return "", err
-			}
-			cfg := hbmrd.ColDisturbConfig{}
-			if c.full {
-				// More aggressor rows than the default four, clamped so the
-				// deepest default distance (8) keeps its victim in range.
-				g := fleet[0].Chip.Geometry()
-				for _, r := range hbmrd.SampleRowsIn(g, 64) {
-					if r < 8 {
-						r = 8
-					}
-					if r > g.Rows-9 {
-						r = g.Rows - 9
-					}
-					cfg.AggRows = append(cfg.AggRows, r)
-				}
-			}
-			recs, err := hbmrd.RunColDisturbContext(ctx, fleet, cfg, c.runOpts()...)
-			if err != nil {
-				return "", err
-			}
-			return renderColDist(recs), nil
-		},
-
 		"trr": func(_ context.Context, c runCtx) (string, error) {
 			chip, err := hbmrd.NewChip(0, c.chipOpts()...)
 			if err != nil {
@@ -829,6 +643,113 @@ func artifacts() map[string]artifactFn {
 			return hbmrd.RenderRetention(waits, bers), nil
 		},
 	}
+	for name, f := range figures {
+		m[name] = f.run
+	}
+	return m
+}
+
+// figure is an artifact with a query preset: one sweep of a kind over the
+// paper's chips, printed through the preset with report.Figure.
+type figure struct {
+	kind   core.Kind
+	chips  []int
+	preset string
+	// config returns the sweep's config, at demo or -full scale, for the
+	// fleet's geometry.
+	config func(g hbmrd.Geometry, c runCtx) any
+}
+
+var figures = map[string]figure{
+	"fig4": {core.KindBER, hbmrd.AllChips(), "fig4", func(g hbmrd.Geometry, c runCtx) any {
+		return hbmrd.BERConfig{Rows: hbmrd.SampleRowsIn(g, c.pick(48, 16384)), Reps: c.pick(2, 5)}
+	}},
+	"fig5": {core.KindHCFirst, hbmrd.AllChips(), "fig5", func(g hbmrd.Geometry, c runCtx) any {
+		return hbmrd.HCFirstConfig{
+			Rows:    hbmrd.SampleRowsIn(g, c.pick(12, 3072)),
+			Pseudos: channelsN(c.pick(1, 2)),
+			Reps:    c.pick(2, 5),
+		}
+	}},
+	"fig6": {core.KindBER, hbmrd.AllChips(), "fig6", func(g hbmrd.Geometry, c runCtx) any {
+		return hbmrd.BERConfig{Rows: hbmrd.SampleRowsIn(g, c.pick(32, 16384)), Reps: c.pick(2, 5)}
+	}},
+	"fig7": {core.KindHCFirst, hbmrd.AllChips(), "fig7", func(g hbmrd.Geometry, c runCtx) any {
+		return hbmrd.HCFirstConfig{Rows: hbmrd.SampleRowsIn(g, c.pick(10, 3072)), Reps: c.pick(2, 5)}
+	}},
+	// The paper's Fig 9 is Chip 0. Sweep every bank and pseudo channel the
+	// chip has (16 banks on the paper's HBM2 part; up to 64 across the
+	// ranks of the HBM3 multi-rank parts).
+	"fig9": {core.KindBER, []int{0}, "fig9", func(g hbmrd.Geometry, c runCtx) any {
+		return hbmrd.BERConfig{
+			Pseudos: channelsN(g.PseudoChannels),
+			Banks:   channelsN(g.BanksPerPC()),
+			Rows:    hbmrd.RegionRowsIn(g, c.pick(4, 100)),
+			Reps:    c.pick(1, 5),
+		}
+	}},
+	"fig13": {core.KindVariability, hbmrd.AllChips(), "fig13", func(g hbmrd.Geometry, c runCtx) any {
+		return hbmrd.VariabilityConfig{Rows: hbmrd.SampleRowsIn(g, c.pick(8, 768)), Iterations: c.pick(20, 50)}
+	}},
+	"fig14": {core.KindRowPressBER, hbmrd.AllChips(), "fig14", func(g hbmrd.Geometry, c runCtx) any {
+		return hbmrd.RowPressBERConfig{Channels: channelsN(c.pick(2, 8)), Rows: hbmrd.RegionRowsIn(g, c.pick(4, 128))}
+	}},
+	// Chip 0 is the paper's TRR chip.
+	"fig16": {core.KindBypass, []int{0}, "fig16", func(g hbmrd.Geometry, c runCtx) any {
+		cfg := hbmrd.BypassConfig{Victims: hbmrd.SampleRowsIn(g, c.pick(4, 32)), AggActs: []int{18, 26, 34}}
+		if c.full {
+			cfg.AggActs = []int{18, 20, 22, 24, 26, 28, 30, 32, 34}
+		} else {
+			cfg.Windows = 8205 // one refresh window instead of two
+		}
+		return cfg
+	}},
+	"vrd": {core.KindVRD, hbmrd.AllChips(), "figvrd", func(g hbmrd.Geometry, c runCtx) any {
+		return hbmrd.VRDConfig{Rows: hbmrd.SampleRowsIn(g, c.pick(6, 768)), Trials: c.pick(5, 20)}
+	}},
+	"coldist": {core.KindColDisturb, hbmrd.AllChips(), "figcoldist", func(g hbmrd.Geometry, c runCtx) any {
+		cfg := hbmrd.ColDisturbConfig{}
+		if c.full {
+			// More aggressor rows than the default four, clamped so the
+			// deepest default distance (8) keeps its victim in range.
+			for _, r := range hbmrd.SampleRowsIn(g, 64) {
+				if r < 8 {
+					r = 8
+				}
+				if r > g.Rows-9 {
+					r = g.Rows - 9
+				}
+				cfg.AggRows = append(cfg.AggRows, r)
+			}
+		}
+		return cfg
+	}},
+}
+
+// run measures the figure's sweep and prints its preset over the records,
+// under the fingerprint the -out header carries.
+func (f figure) run(ctx context.Context, c runCtx) (string, error) {
+	fleet, err := c.fleet(f.chips)
+	if err != nil {
+		return "", err
+	}
+	cfg := f.config(fleet[0].Chip.Geometry(), c)
+	d, err := core.LookupKind(f.kind)
+	if err != nil {
+		return "", err
+	}
+	recs, err := d.Run(ctx, fleet, cfg, c.runOpts()...)
+	if err != nil {
+		return "", err
+	}
+	fp, err := core.FingerprintFor(f.kind, fleet, cfg)
+	if err != nil {
+		return "", err
+	}
+	if c.shard != nil {
+		fp = core.ShardFingerprint(fp, c.shard.Start, c.shard.End)
+	}
+	return report.Figure(f.preset, fp, f.kind, recs)
 }
 
 func runHCNth(ctx context.Context, c runCtx) ([]hbmrd.HCNthRecord, error) {
@@ -845,47 +766,10 @@ func runHCNth(ctx context.Context, c runCtx) ([]hbmrd.HCNthRecord, error) {
 	return hbmrd.RunHCNthContext(ctx, fleet, cfg, c.runOpts()...)
 }
 
-// renderVRD prints one cell per line: the HCfirst distribution summary
-// across that cell's repeated trials.
-func renderVRD(recs []hbmrd.VRDRecord) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%4s %3s %3s %3s %6s %6s %8s %8s %10s %8s %6s\n",
-		"chip", "ch", "pc", "bk", "row", "found", "minHC", "maxHC", "meanHC", "pHC", "ratio")
-	for _, r := range recs {
-		fmt.Fprintf(&b, "%4d %3d %3d %3d %6d %3d/%-2d %8d %8d %10.1f %8d %6.3f\n",
-			r.Chip, r.Channel, r.Pseudo, r.Bank, r.Row, r.Found, r.Trials,
-			r.MinHC, r.MaxHC, r.MeanHC, r.PHC, r.Ratio())
-	}
-	return b.String()
-}
-
-// renderColDist prints one (aggressor, distance, stripe) probe per line.
-func renderColDist(recs []hbmrd.ColDisturbRecord) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%4s %6s %5s %7s %8s %7s %13s\n",
-		"chip", "agg", "dist", "stripe", "reads", "flips", "first-disturb")
-	for _, r := range recs {
-		first := "-"
-		if r.Found {
-			first = strconv.Itoa(r.FirstDisturb)
-		}
-		fmt.Fprintf(&b, "%4d %6d %+5d %7d %8d %7d %13s\n",
-			r.Chip, r.Row, r.Distance, r.Stripe, r.Reads, r.Flips, first)
-	}
-	return b.String()
-}
-
 func channelsN(n int) []int {
 	out := make([]int, n)
 	for i := range out {
 		out[i] = i
 	}
 	return out
-}
-
-func pick2(full bool) []int {
-	if full {
-		return []int{0, 1}
-	}
-	return []int{0}
 }

@@ -26,7 +26,7 @@ func main() {
 	}
 	fmt.Print(hbmrd.RenderFig15(recs))
 
-	fmt.Println("\nBER at a fixed 150K hammers vs tAggON (Fig 14 mini):")
+	fmt.Println("\nBER at a fixed 150K hammers vs tAggON in ps (Fig 14 mini):")
 	ber, err := hbmrd.RunRowPressBER(fleet, hbmrd.RowPressBERConfig{
 		Channels: []int{0},
 		Rows:     hbmrd.RegionRows(3),

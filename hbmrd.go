@@ -620,27 +620,45 @@ func WordFlipHistograms(recs []BERRecord) (map[Pattern]*FlipHistogram, error) {
 	return hists, nil
 }
 
-// Renderers: print results in the shape of the paper's artifacts.
+// Renderers: print results in the shape of the paper's artifacts. A
+// figure with a query preset (Figs 4-7, 9, 13, 14, 16) prints the preset's
+// aggregate, the table `hbmrd figN` prints; its sweep field is empty,
+// since bare records carry no fingerprint.
 func RenderTable1() string                                       { return report.Table1() }
 func RenderTable2() string                                       { return report.Table2() }
 func RenderFig3(names []string, traces [][]ThermalSample) string { return report.Fig3(names, traces) }
-func RenderFig4(recs []BERRecord) string                         { return report.Fig4(recs) }
-func RenderFig5(recs []HCFirstRecord) string                     { return report.Fig5(recs) }
-func RenderFig6(recs []BERRecord) string                         { return report.Fig6(recs) }
-func RenderFig7(recs []HCFirstRecord) string                     { return report.Fig7(recs) }
+func RenderFig4(recs []BERRecord) string                         { return renderFigure("fig4", KindBER, recs) }
+func RenderFig5(recs []HCFirstRecord) string                     { return renderFigure("fig5", KindHCFirst, recs) }
+func RenderFig6(recs []BERRecord) string                         { return renderFigure("fig6", KindBER, recs) }
+func RenderFig7(recs []HCFirstRecord) string                     { return renderFigure("fig7", KindHCFirst, recs) }
 func RenderFig8CSV(recs []BERRecord, boundaries []int) string {
 	return report.Fig8CSV(recs, boundaries)
 }
-func RenderFig9(recs []BERRecord) string                  { return report.Fig9(recs) }
-func RenderFig10(s AgingSummary) string                   { return report.Fig10(s) }
-func RenderFig11(recs []HCNthRecord) string               { return report.Fig11(recs) }
-func RenderFig12(s []Fig12Stats) string                   { return report.Fig12(s) }
-func RenderFig13(recs []VariabilityRecord) string         { return report.Fig13(recs) }
-func RenderFig14(recs []RowPressBERRecord) string         { return report.Fig14(recs) }
+func RenderFig9(recs []BERRecord) string    { return renderFigure("fig9", KindBER, recs) }
+func RenderFig10(s AgingSummary) string     { return report.Fig10(s) }
+func RenderFig11(recs []HCNthRecord) string { return report.Fig11(recs) }
+func RenderFig12(s []Fig12Stats) string     { return report.Fig12(s) }
+func RenderFig13(recs []VariabilityRecord) string {
+	return renderFigure("fig13", KindVariability, recs)
+}
+func RenderFig14(recs []RowPressBERRecord) string {
+	return renderFigure("fig14", KindRowPressBER, recs)
+}
 func RenderFig15(recs []RowPressHCRecord) string          { return report.Fig15(recs) }
-func RenderFig16(recs []BypassRecord) string              { return report.Fig16(recs) }
+func RenderFig16(recs []BypassRecord) string              { return renderFigure("fig16", KindBypass, recs) }
 func RenderFig17(hists map[Pattern]*FlipHistogram) string { return report.Fig17(hists) }
 func RenderTRRFindings(f TRRFindings) string              { return report.UTRR(f) }
+
+// renderFigure prints records through their figure's query preset.
+func renderFigure(preset string, kind SweepKind, recs any) string {
+	out, err := report.Figure(preset, "", kind, recs)
+	if err != nil {
+		// Each caller passes a preset over its own kind's record slice,
+		// which always aggregates.
+		panic(err)
+	}
+	return out
+}
 
 // MeasureRetentionBaselines reproduces the §6 retention measurements: the
 // aggregate retention BER of `rows` rows on one bank after each wait.

@@ -74,9 +74,18 @@ func TestFacadeExperimentAndRender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// RenderFig4 prints the fig4 preset: one row per (chip, pattern_label)
+	// key, the worst-case data pattern as its own WCDP group.
 	out := hbmrd.RenderFig4(recs)
-	if !strings.Contains(out, "Chip 5") || !strings.Contains(out, "WCDP") {
-		t.Errorf("render output malformed:\n%s", out)
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	var keys []string
+	for _, line := range lines[1:] { // after the sweep line: header, then groups
+		if f := strings.Fields(line); len(f) > 1 {
+			keys = append(keys, f[0]+" "+f[1])
+		}
+	}
+	if want := []string{"chip pattern_label", "5 Checkered0", "5 WCDP"}; !reflect.DeepEqual(keys, want) {
+		t.Errorf("render keys = %q, want %q:\n%s", keys, want, out)
 	}
 }
 

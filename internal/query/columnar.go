@@ -26,6 +26,19 @@ func ComputeColumnar(cs *core.ColumnSet, spec Spec, env Env) (*Aggregate, error)
 	return computeOver(kind, src, cspec)
 }
 
+// ComputeRecords aggregates a kind's typed record slice (the shape the
+// runners return and core.DecodeRecords yields) the way the engine
+// aggregates a decoded twin: transposed into columns, then read by
+// ComputeColumnar.
+func ComputeRecords(kind core.Kind, records any, spec Spec, env Env) (*Aggregate, error) {
+	cs, err := core.ExtractColumns(kind, records)
+	if err != nil {
+		return nil, err
+	}
+	cs.Header.Kind = string(kind)
+	return ComputeColumnar(cs, spec, env)
+}
+
 // columnarSource serves a kind's declared dimensions and metrics (see
 // kindFields) over a column set. Each accessor is built on first request
 // from the typed columns its field names; the set must carry the kind's

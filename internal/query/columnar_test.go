@@ -217,9 +217,9 @@ func TestColumnarComputeEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("ComputeColumnar(%+v): %v", spec, err)
 					}
-					fromRecs, err := computeRecords(kind, recs, spec, env)
+					fromRecs, err := ComputeRecords(kind, recs, spec, env)
 					if err != nil {
-						t.Fatalf("computeRecords(%+v): %v", spec, err)
+						t.Fatalf("ComputeRecords(%+v): %v", spec, err)
 					}
 					// The engine's projected decode: only the columns the
 					// spec's names read are parsed.
@@ -348,7 +348,7 @@ func TestRankDimension(t *testing.T) {
 		{Chip: 0, Bank: 47, Row: 10, Pattern: pattern.Rowstripe0, HCFirst: 44000, Found: true},
 	}
 	spec := Spec{Sweep: "sha256:x", GroupBy: []string{"rank"}, Metric: "hcfirst"}
-	agg, err := computeRecords(core.KindHCFirst, recs, spec, Env{BanksPerRank: 16})
+	agg, err := ComputeRecords(core.KindHCFirst, recs, spec, Env{BanksPerRank: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestRankDimension(t *testing.T) {
 		agg.Groups[2].Key[0] != "2" || agg.Groups[2].Count != 1 {
 		t.Errorf("rank groups = %+v", agg.Groups)
 	}
-	flat, err := computeRecords(core.KindHCFirst, recs, spec, Env{})
+	flat, err := ComputeRecords(core.KindHCFirst, recs, spec, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -167,7 +167,7 @@ func rowsSource(rows []row) rowSource {
 	}
 }
 
-// computeFlatten is computeRecords over the flatten row model: the reference
+// computeFlatten is ComputeRecords over the flatten row model: the reference
 // every column-backed aggregate must match byte for byte.
 func computeFlatten(kind core.Kind, records any, spec Spec, env Env) (*Aggregate, error) {
 	cspec, err := spec.Canonical()

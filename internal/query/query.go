@@ -813,6 +813,8 @@ func (a *Aggregate) CSV() string {
 
 // FigureSpec returns the predefined query spec that reproduces one of the
 // paper's figure aggregations from a stored sweep of the matching kind.
+// It is the figure's one definition: the hbmrd CLI prints a figure
+// artifact through the same spec over the records it just measured.
 func FigureSpec(fig, sweep string) (Spec, error) {
 	s := Spec{Sweep: sweep}
 	switch strings.ToLower(strings.TrimSpace(fig)) {
@@ -835,20 +837,20 @@ func FigureSpec(fig, sweep string) (Spec, error) {
 		s.Metric = "hcfirst"
 		s.Where = []Cond{{Dim: "wcdp", Value: "true"}, {Dim: "found", Value: "true"}}
 		s.Reducers = []string{"box"}
-	case "fig9": // BER across pseudo channels and banks (kind ber)
-		s.GroupBy = []string{"pseudo", "bank"}
+	case "fig9": // per-bank (mean BER, CV) scatter (kind ber)
+		s.GroupBy = []string{"chip", "channel", "pseudo", "bank"}
 		s.Metric = "ber_percent"
 		s.Where = []Cond{{Dim: "wcdp", Value: "true"}}
-		s.Reducers = []string{"count", "mean"}
-	case "fig13": // HCfirst variability ratio per chip (kind variability)
-		s.GroupBy = []string{"chip"}
+		s.Reducers = []string{"mean", "cv"}
+	case "fig13": // max/min HCfirst ratio percentiles across rows (kind variability)
 		s.Metric = "ratio"
 		s.Where = []Cond{{Dim: "measured", Value: "true"}}
-		s.Reducers = []string{"box"}
-	case "fig14": // RowPress BER vs tAggON (kind rowpress-ber)
-		s.GroupBy = []string{"tagg_on"}
+		s.Reducers = []string{"percentiles", "max"}
+		s.Percentiles = []float64{1, 5, 10, 25, 50, 75, 90, 95, 99}
+	case "fig14": // RowPress BER per (chip, channel) across tAggON (kind rowpress-ber)
+		s.GroupBy = []string{"chip", "channel", "tagg_on"}
 		s.Metric = "ber_percent"
-		s.Reducers = []string{"count", "mean"}
+		s.Reducers = []string{"mean"}
 	case "fig15": // RowPress HCfirst vs tAggON (kind rowpress-hc)
 		s.GroupBy = []string{"chip", "tagg_on"}
 		s.Metric = "hcfirst"

@@ -95,25 +95,13 @@ func fig5Records() []core.HCFirstRecord {
 	}
 }
 
-// computeRecords aggregates a typed record slice the way the engine
-// aggregates a decoded twin: transposed into columns, then read by
-// ComputeColumnar.
-func computeRecords(kind core.Kind, records any, spec Spec, env Env) (*Aggregate, error) {
-	cs, err := core.ExtractColumns(kind, records)
-	if err != nil {
-		return nil, err
-	}
-	cs.Header.Kind = string(kind)
-	return ComputeColumnar(cs, spec, env)
-}
-
 func TestComputeFig5Aggregation(t *testing.T) {
 	t.Parallel()
 	spec, err := FigureSpec("fig5", "sha256:test")
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := computeRecords(core.KindHCFirst, fig5Records(), spec, Env{})
+	agg, err := ComputeRecords(core.KindHCFirst, fig5Records(), spec, Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,10 +130,133 @@ func TestComputeFig5Aggregation(t *testing.T) {
 	}
 }
 
+// TestFigurePresetDefinitions pins what each figure preset computes, in
+// the table form `hbmrd figN` and `hbmrd query -figure figN` print, over
+// hand-built records: its group-by columns, filter and reducers.
+func TestFigurePresetDefinitions(t *testing.T) {
+	t.Parallel()
+	ber := []core.BERRecord{
+		{Chip: 0, Channel: 0, Pattern: pattern.Checkered0, BERPercent: 1.0},
+		{Chip: 0, Channel: 0, Pattern: pattern.Checkered0, WCDP: true, BERPercent: 1.0},
+		{Chip: 0, Channel: 1, Pattern: pattern.Rowstripe0, BERPercent: 0.5},
+		{Chip: 5, Channel: 0, Pattern: pattern.Checkered0, BERPercent: 0.6},
+	}
+	hcFirst := []core.HCFirstRecord{
+		{Chip: 0, Channel: 0, Pattern: pattern.Checkered0, HCFirst: 20000, Found: true},
+		{Chip: 0, Channel: 0, Pattern: pattern.Checkered0, WCDP: true, HCFirst: 20000, Found: true},
+		{Chip: 0, Channel: 2, Pattern: pattern.Rowstripe1, HCFirst: 90000, Found: true},
+		{Chip: 1, Channel: 0, Pattern: pattern.Rowstripe1, Found: false},
+	}
+	ps := []float64{1, 5, 10, 25, 50, 75, 90, 95, 99}
+	fig13Row := []string{"2"}
+	for _, v := range stats.Percentiles([]float64{1.09, 2.2}, ps) {
+		fig13Row = append(fig13Row, fmtNum(v))
+	}
+	fig13Row = append(fig13Row, "2.2")
+	for _, tc := range []struct {
+		fig    string
+		kind   core.Kind
+		recs   any
+		header []string
+		rows   [][]string
+	}{
+		// Fig 4: BER box per chip and data pattern, WCDP as its own group.
+		{"fig4", core.KindBER, ber,
+			[]string{"chip", "pattern_label", "count", "box_min", "box_q1", "box_median", "box_q3", "box_max", "box_mean"},
+			[][]string{
+				{"0", "Checkered0", "1", "1", "1", "1", "1", "1", "1"},
+				{"0", "Rowstripe0", "1", "0.5", "0.5", "0.5", "0.5", "0.5", "0.5"},
+				{"0", "WCDP", "1", "1", "1", "1", "1", "1", "1"},
+				{"5", "Checkered0", "1", "0.6", "0.6", "0.6", "0.6", "0.6", "0.6"},
+			}},
+		// Fig 5: HCfirst box per chip and pattern over rows that flipped.
+		{"fig5", core.KindHCFirst, hcFirst,
+			[]string{"chip", "pattern_label", "count", "box_min", "box_q1", "box_median", "box_q3", "box_max", "box_mean"},
+			[][]string{
+				{"0", "Checkered0", "1", "20000", "20000", "20000", "20000", "20000", "20000"},
+				{"0", "Rowstripe1", "1", "90000", "90000", "90000", "90000", "90000", "90000"},
+				{"0", "WCDP", "1", "20000", "20000", "20000", "20000", "20000", "20000"},
+			}},
+		// Fig 6: WCDP BER across the channels of each chip.
+		{"fig6", core.KindBER, ber,
+			[]string{"chip", "channel", "count", "mean", "min", "max"},
+			[][]string{{"0", "0", "1", "1", "1", "1"}}},
+		// Fig 7: WCDP HCfirst across the channels of each chip.
+		{"fig7", core.KindHCFirst, hcFirst,
+			[]string{"chip", "channel", "count", "box_min", "box_q1", "box_median", "box_q3", "box_max", "box_mean"},
+			[][]string{{"0", "0", "1", "20000", "20000", "20000", "20000", "20000", "20000"}}},
+		// Fig 9: the per-bank (mean BER, CV) scatter of WCDP records.
+		{"fig9", core.KindBER, []core.BERRecord{
+			{Chip: 0, Channel: 0, Bank: 0, Row: 1, WCDP: true, BERPercent: 1.0},
+			{Chip: 0, Channel: 0, Bank: 0, Row: 2, WCDP: true, BERPercent: 1.4},
+			{Chip: 0, Channel: 0, Bank: 0, Row: 2, Pattern: pattern.Checkered1, BERPercent: 9},
+			{Chip: 0, Channel: 0, Bank: 1, Row: 1, WCDP: true, BERPercent: 0.8},
+		},
+			[]string{"chip", "channel", "pseudo", "bank", "count", "mean", "cv"},
+			[][]string{
+				{"0", "0", "0", "0", "2", fmtNum(stats.Mean([]float64{1.0, 1.4})), fmtNum(stats.CV([]float64{1.0, 1.4}))},
+				{"0", "0", "0", "1", "1", "0.8", "0"},
+			}},
+		// Fig 13: percentiles and max of the max/min HCfirst ratio across
+		// every measured row.
+		{"fig13", core.KindVariability, []core.VariabilityRecord{
+			{MinHC: 100, MaxHC: 109, MeasuredRatios: true},
+			{MinHC: 100, MaxHC: 220, MeasuredRatios: true},
+			{MeasuredRatios: false},
+		},
+			[]string{"count", "p1", "p5", "p10", "p25", "p50", "p75", "p90", "p95", "p99", "max"},
+			[][]string{fig13Row}},
+		// Fig 14: RowPress BER per (chip, channel) at each tAggON (ps).
+		{"fig14", core.KindRowPressBER, []core.RowPressBERRecord{
+			{Chip: 0, Channel: 0, TAggON: 29 * hbm.NS, BERPercent: 0.08},
+			{Chip: 0, Channel: 0, TAggON: 35_100 * hbm.NS, BERPercent: 50.3, RetentionBERPercent: 0.134},
+		},
+			[]string{"chip", "channel", "tagg_on", "count", "mean"},
+			[][]string{{"0", "0", "29000", "1", "0.08"}, {"0", "0", "35100000", "1", "50.3"}}},
+		// Fig 16: TRR-bypass BER per (dummy rows, aggressor ACTs per tREFI).
+		{"fig16", core.KindBypass, []core.BypassRecord{
+			{Dummies: 3, AggActs: 18, BERPercent: 0},
+			{Dummies: 4, AggActs: 18, BERPercent: 0.02},
+			{Dummies: 4, AggActs: 34, BERPercent: 0.06},
+		},
+			[]string{"dummies", "agg_acts", "count", "mean", "max"},
+			[][]string{{"3", "18", "1", "0", "0"}, {"4", "18", "1", "0.02", "0.02"}, {"4", "34", "1", "0.06", "0.06"}}},
+	} {
+		t.Run(tc.fig, func(t *testing.T) {
+			spec, err := FigureSpec(tc.fig, "sha256:test")
+			if err != nil {
+				t.Fatal(err)
+			}
+			agg, err := ComputeRecords(tc.kind, tc.recs, spec, Env{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			header, rows := agg.Table()
+			if !reflect.DeepEqual(header, tc.header) {
+				t.Errorf("header = %q, want %q", header, tc.header)
+			}
+			if !reflect.DeepEqual(rows, tc.rows) {
+				t.Errorf("rows = %q, want %q", rows, tc.rows)
+			}
+		})
+	}
+
+	// Fig 14's retention BER left the figure's table but stays queryable.
+	agg, err := ComputeRecords(core.KindRowPressBER, []core.RowPressBERRecord{
+		{TAggON: 35_100 * hbm.NS, BERPercent: 50.3, RetentionBERPercent: 0.134},
+	}, Spec{Metric: "retention_ber_percent", Reducers: []string{"max"}}, Env{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, rows := agg.Table(); !reflect.DeepEqual(rows, [][]string{{"1", "0.134"}}) {
+		t.Errorf("retention_ber_percent rows = %q", rows)
+	}
+}
+
 func TestComputeFilterAndReducers(t *testing.T) {
 	t.Parallel()
 	recs := fig5Records()
-	agg, err := computeRecords(core.KindHCFirst, recs, Spec{
+	agg, err := ComputeRecords(core.KindHCFirst, recs, Spec{
 		Sweep:  "sha256:test",
 		Metric: "hcfirst",
 		Where: []Cond{
@@ -179,10 +290,10 @@ func TestComputeFilterAndReducers(t *testing.T) {
 	}
 
 	// Unknown dimension and metric are spec errors naming the kind.
-	if _, err := computeRecords(core.KindHCFirst, recs, Spec{Metric: "ber_percent"}, Env{}); !errors.Is(err, ErrSpec) {
+	if _, err := ComputeRecords(core.KindHCFirst, recs, Spec{Metric: "ber_percent"}, Env{}); !errors.Is(err, ErrSpec) {
 		t.Errorf("wrong metric: %v", err)
 	}
-	if _, err := computeRecords(core.KindHCFirst, recs, Spec{Metric: "hcfirst", GroupBy: []string{"dummies"}}, Env{}); !errors.Is(err, ErrSpec) {
+	if _, err := ComputeRecords(core.KindHCFirst, recs, Spec{Metric: "hcfirst", GroupBy: []string{"dummies"}}, Env{}); !errors.Is(err, ErrSpec) {
 		t.Errorf("wrong dim: %v", err)
 	}
 }

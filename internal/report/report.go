@@ -1,8 +1,12 @@
 // Package report renders experiment results in the shape of the paper's
-// tables and figures: one renderer per artifact, producing aligned text
-// tables (and CSV series where the figure is a curve). The renderers are
-// pure functions over the core package's record types, so the same results
-// can be printed by the CLI, the benchmarks, and EXPERIMENTS.md tooling.
+// tables and figures, as aligned text tables (and CSV series where the
+// figure is a curve). A figure with a query preset (query.FigureSpec:
+// Figs 4-7, 9, 13, 14 and 16, and the VRD and column-disturb views) is
+// defined once, by that preset, and renders through Figure and
+// AggregateTable. The other renderers cover what no preset expresses:
+// the tables, Fig 3, the Fig 8 CSV, Figs 10-12, 15 and 17, and the
+// retention, TRR, templating and defense summaries. All are pure
+// functions over the core package's record types.
 package report
 
 import (
@@ -77,139 +81,6 @@ func Fig3(names []string, traces [][]thermal.Sample) string {
 	})
 }
 
-// patternLabel renders the pattern column, with WCDP as its own label.
-func patternLabel(p pattern.Pattern, wcdp bool) string {
-	if wcdp {
-		return "WCDP"
-	}
-	return p.String()
-}
-
-// Fig4 renders the BER distribution across chips per data pattern: one row
-// per (chip, pattern) with the five-number box summary the figure plots.
-func Fig4(recs []core.BERRecord) string {
-	type key struct {
-		chip  int
-		label string
-	}
-	groups := map[key][]float64{}
-	for _, r := range recs {
-		k := key{r.Chip, patternLabel(r.Pattern, r.WCDP)}
-		groups[k] = append(groups[k], r.BERPercent)
-	}
-	keys := make([]key, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].chip != keys[j].chip {
-			return keys[i].chip < keys[j].chip
-		}
-		return keys[i].label < keys[j].label
-	})
-	return table(func(w *tabwriter.Writer) {
-		fmt.Fprintln(w, "Chip\tPattern\tN\tMeanBER%\tMinBER%\tMedianBER%\tMaxBER%")
-		for _, k := range keys {
-			b := stats.Box(groups[k])
-			fmt.Fprintf(w, "Chip %d\t%s\t%d\t%.3f\t%.3f\t%.3f\t%.3f\n",
-				k.chip, k.label, b.N, b.Mean, b.Min, b.Median, b.Max)
-		}
-	})
-}
-
-// Fig5 renders the HCfirst distribution across chips per data pattern.
-func Fig5(recs []core.HCFirstRecord) string {
-	type key struct {
-		chip  int
-		label string
-	}
-	groups := map[key][]float64{}
-	for _, r := range recs {
-		if !r.Found {
-			continue
-		}
-		k := key{r.Chip, patternLabel(r.Pattern, r.WCDP)}
-		groups[k] = append(groups[k], float64(r.HCFirst))
-	}
-	keys := make([]key, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].chip != keys[j].chip {
-			return keys[i].chip < keys[j].chip
-		}
-		return keys[i].label < keys[j].label
-	})
-	return table(func(w *tabwriter.Writer) {
-		fmt.Fprintln(w, "Chip\tPattern\tN\tMinHC\tMedianHC\tMeanHC\tMaxHC")
-		for _, k := range keys {
-			b := stats.Box(groups[k])
-			fmt.Fprintf(w, "Chip %d\t%s\t%d\t%.0f\t%.0f\t%.0f\t%.0f\n",
-				k.chip, k.label, b.N, b.Min, b.Median, b.Mean, b.Max)
-		}
-	})
-}
-
-// Fig6 renders BER across channels within each chip (WCDP records), the
-// die-pair structure of Fig 6.
-func Fig6(recs []core.BERRecord) string {
-	type key struct{ chip, ch int }
-	groups := map[key][]float64{}
-	for _, r := range recs {
-		if !r.WCDP {
-			continue
-		}
-		groups[key{r.Chip, r.Channel}] = append(groups[key{r.Chip, r.Channel}], r.BERPercent)
-	}
-	keys := make([]key, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].chip != keys[j].chip {
-			return keys[i].chip < keys[j].chip
-		}
-		return keys[i].ch < keys[j].ch
-	})
-	return table(func(w *tabwriter.Writer) {
-		fmt.Fprintln(w, "Chip\tChannel\tN\tMeanBER%\tMinBER%\tMaxBER%")
-		for _, k := range keys {
-			b := stats.Box(groups[k])
-			fmt.Fprintf(w, "Chip %d\tCH%d\t%d\t%.3f\t%.3f\t%.3f\n", k.chip, k.ch, b.N, b.Mean, b.Min, b.Max)
-		}
-	})
-}
-
-// Fig7 renders HCfirst across channels within each chip (WCDP records).
-func Fig7(recs []core.HCFirstRecord) string {
-	type key struct{ chip, ch int }
-	groups := map[key][]float64{}
-	for _, r := range recs {
-		if !r.WCDP || !r.Found {
-			continue
-		}
-		groups[key{r.Chip, r.Channel}] = append(groups[key{r.Chip, r.Channel}], float64(r.HCFirst))
-	}
-	keys := make([]key, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].chip != keys[j].chip {
-			return keys[i].chip < keys[j].chip
-		}
-		return keys[i].ch < keys[j].ch
-	})
-	return table(func(w *tabwriter.Writer) {
-		fmt.Fprintln(w, "Chip\tChannel\tN\tMinHC\tMedianHC\tMaxHC")
-		for _, k := range keys {
-			b := stats.Box(groups[k])
-			fmt.Fprintf(w, "Chip %d\tCH%d\t%d\t%.0f\t%.0f\t%.0f\n", k.chip, k.ch, b.N, b.Min, b.Median, b.Max)
-		}
-	})
-}
-
 // Fig8CSV renders the per-row BER series of Fig 8 as CSV (row, then one
 // column per channel), with discovered subarray boundaries appended as
 // comments.
@@ -254,44 +125,6 @@ func Fig8CSV(recs []core.BERRecord, boundaries []int) string {
 		fmt.Fprintf(&sb, "# subarray boundary at physical row %d\n", b)
 	}
 	return sb.String()
-}
-
-// Fig9 renders the per-bank (mean BER, CV) scatter of Fig 9.
-func Fig9(recs []core.BERRecord) string {
-	type key struct{ chip, ch, pc, bank int }
-	groups := map[key][]float64{}
-	for _, r := range recs {
-		if !r.WCDP {
-			continue
-		}
-		k := key{r.Chip, r.Channel, r.Pseudo, r.Bank}
-		groups[k] = append(groups[k], r.BERPercent)
-	}
-	keys := make([]key, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		switch {
-		case a.chip != b.chip:
-			return a.chip < b.chip
-		case a.ch != b.ch:
-			return a.ch < b.ch
-		case a.pc != b.pc:
-			return a.pc < b.pc
-		default:
-			return a.bank < b.bank
-		}
-	})
-	return table(func(w *tabwriter.Writer) {
-		fmt.Fprintln(w, "Chip\tChannel\tPC\tBank\tMeanBER%\tCV")
-		for _, k := range keys {
-			xs := groups[k]
-			fmt.Fprintf(w, "Chip %d\tCH%d\t%d\t%d\t%.3f\t%.3f\n",
-				k.chip, k.ch, k.pc, k.bank, stats.Mean(xs), stats.CV(xs))
-		}
-	})
 }
 
 // Fig10 renders the aging summary (row counts and ratio percentiles).
@@ -352,37 +185,6 @@ func Fig12(statsList []core.Fig12Stats) string {
 	})
 }
 
-// Fig13 renders the max/min HCfirst ratio percentiles across rows.
-func Fig13(recs []core.VariabilityRecord) string {
-	var ratios []float64
-	for _, r := range recs {
-		if r.MeasuredRatios {
-			ratios = append(ratios, r.Ratio())
-		}
-	}
-	ps := []float64{1, 5, 10, 25, 50, 75, 90, 95, 99}
-	vals := stats.Percentiles(ratios, ps)
-	return table(func(w *tabwriter.Writer) {
-		fmt.Fprintf(w, "Rows measured:\t%d\n", len(ratios))
-		fmt.Fprintln(w, "Percentile\tMaxHC/MinHC")
-		for i, p := range ps {
-			fmt.Fprintf(w, "P%.0f\t%.3f\n", p, vals[i])
-		}
-		fmt.Fprintf(w, "Max\t%.3f\n", stats.Max(ratios))
-	})
-}
-
-// Fig14 renders mean BER per (chip, channel) across the tAggON sweep.
-func Fig14(recs []core.RowPressBERRecord) string {
-	return table(func(w *tabwriter.Writer) {
-		fmt.Fprintln(w, "Chip\tChannel\ttAggON\tBER%\tRetentionBER%")
-		for _, r := range recs {
-			fmt.Fprintf(w, "Chip %d\tCH%d\t%s\t%.4f\t%.4f\n",
-				r.Chip, r.Channel, fmtDur(r.TAggON), r.BERPercent, r.RetentionBERPercent)
-		}
-	})
-}
-
 // Fig15 renders average and minimum HCfirst per tAggON across all chips
 // (the paper: 83689 (29183), 1519 (335), 376 (123), 1 (1)), restricted to
 // rows that flip within the refresh window at every tAggON.
@@ -415,33 +217,6 @@ func Fig15(recs []core.RowPressHCRecord) string {
 		for _, t := range tonList {
 			xs := byTon[t]
 			fmt.Fprintf(w, "%s\t%d\t%.0f\t%.0f\n", fmtDur(t), len(xs), stats.Mean(xs), stats.Min(xs))
-		}
-	})
-}
-
-// Fig16 renders the bypass BER distribution per (dummy count, aggressor
-// activation count).
-func Fig16(recs []core.BypassRecord) string {
-	type key struct{ dummies, agg int }
-	groups := map[key][]float64{}
-	for _, r := range recs {
-		groups[key{r.Dummies, r.AggActs}] = append(groups[key{r.Dummies, r.AggActs}], r.BERPercent)
-	}
-	keys := make([]key, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].dummies != keys[j].dummies {
-			return keys[i].dummies < keys[j].dummies
-		}
-		return keys[i].agg < keys[j].agg
-	})
-	return table(func(w *tabwriter.Writer) {
-		fmt.Fprintln(w, "Dummies\tAggACTs/tREFI\tRows\tMeanBER%\tMaxBER%")
-		for _, k := range keys {
-			xs := groups[k]
-			fmt.Fprintf(w, "%d\t%d\t%d\t%.4f\t%.4f\n", k.dummies, k.agg, len(xs), stats.Mean(xs), stats.Max(xs))
 		}
 	})
 }

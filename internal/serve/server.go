@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -726,20 +725,20 @@ func (s *Server) finalize(j *job, spool string) error {
 	return os.Remove(spool)
 }
 
-// spoolHeader reads a completed spool's header line.
+// spoolHeader reads a completed spool's header line. The decoder reads
+// the first JSON value and stops, so a spool of any size costs one small
+// buffered read.
 func spoolHeader(path string) (core.SweepHeader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return core.SweepHeader{}, err
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
-	if !sc.Scan() {
-		return core.SweepHeader{}, fmt.Errorf("serve: empty spool %s", path)
-	}
 	var h core.SweepHeader
-	if err := json.Unmarshal(sc.Bytes(), &h); err != nil || h.Format == 0 {
+	switch err := json.NewDecoder(f).Decode(&h); {
+	case errors.Is(err, io.EOF):
+		return core.SweepHeader{}, fmt.Errorf("serve: empty spool %s", path)
+	case err != nil || h.Format == 0:
 		return core.SweepHeader{}, fmt.Errorf("serve: spool %s has no sweep header", path)
 	}
 	return h, nil
