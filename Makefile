@@ -42,10 +42,12 @@ golden:
 
 # fabric-chaos runs the distributed-sweep failure-injection suite under
 # the race detector: dropped connections, injected 5xx, torn shard
-# streams, hung workers, and drained-worker resume, all asserting
-# byte-identity of the merged output.
+# streams, hung workers, shard jobs that end failed or checkpointed, and
+# drained-worker resume, all asserting byte-identity of the merged
+# output. Three runs, so a timing-dependent race fails rather than
+# passing by luck.
 fabric-chaos:
-	go test -race -count=1 ./internal/fabric/ ./internal/serve/
+	go test -race -count=3 ./internal/fabric/ ./internal/serve/
 
 # metrics-smoke boots a live hbmrdd, runs a tiny sweep through it, and
 # asserts the /metrics Prometheus exposition is well-formed and moving

@@ -30,7 +30,9 @@
 // defense vrd coldist all. vrd (per-cell HCfirst variability across
 // repeated trials, arXiv 2502.13075) and coldist (column-read
 // disturbance, arXiv 2510.14750) are the post-paper sweep kinds. -out,
-// -resume and -shard take one artifact's sweep, so they reject "all".
+// -resume and -shard take one artifact's sweep, so they reject "all" and
+// the artifacts that run none (geometries table1 table2 fig3 trr
+// retention attack).
 //
 // A figure artifact with a query preset (fig4 fig5 fig6 fig7 fig9 fig13
 // fig14 fig16, and vrd and coldist through figvrd and figcoldist) prints
@@ -146,14 +148,19 @@ func run(ctx context.Context, args []string) error {
 		}
 		c.shard = &hbmrd.ShardRange{Start: s, End: e}
 	}
-	// Reject unknown artifacts, and "all" with a results file, before
-	// -out truncates an existing results file.
+	// Reject unknown artifacts, and a results file for "all" or for an
+	// artifact that runs no sweep, before -out truncates an existing
+	// results file.
 	name := fs.Arg(0)
 	if _, known := artifacts()[name]; !known && name != "all" {
 		return fmt.Errorf("unknown artifact %q (have: %s)", name, strings.Join(artifactNames(), " "))
 	}
-	if name == "all" && (*outFlag != "" || *resumeFlag != "" || *shardFlag != "") {
+	sweepFlags := *outFlag != "" || *resumeFlag != "" || *shardFlag != ""
+	if sweepFlags && name == "all" {
 		return fmt.Errorf("-out, -resume and -shard take one artifact's sweep, not \"all\"")
+	}
+	if sweepFlags && sweepless[name] {
+		return fmt.Errorf("-out, -resume and -shard take one artifact's sweep, and %s runs none", name)
 	}
 
 	// closeOut finalizes the -out/-resume stream; encode, sync, and close
@@ -359,6 +366,13 @@ func runOne(ctx context.Context, name string, c runCtx) error {
 }
 
 type artifactFn func(ctx context.Context, c runCtx) (string, error)
+
+// sweepless are the artifacts that run no sweep, so they have no records
+// for -out or -resume and no plan for -shard.
+var sweepless = map[string]bool{
+	"geometries": true, "table1": true, "table2": true, "fig3": true,
+	"trr": true, "retention": true, "attack": true,
+}
 
 func artifactNames() []string {
 	m := artifacts()

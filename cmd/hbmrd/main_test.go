@@ -2,9 +2,7 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -85,17 +83,30 @@ func TestFigureArtifactsMatchQuery(t *testing.T) {
 }
 
 // TestAllRejectsResultsFile: -out, -resume and -shard name one sweep, so
-// with "all" they fail before any results file is created.
+// with "all", or with an artifact that runs no sweep, they fail before any
+// results file is opened, and a file already there keeps its bytes.
 func TestAllRejectsResultsFile(t *testing.T) {
 	t.Parallel()
-	path := filepath.Join(t.TempDir(), "all.jsonl")
-	for _, flag := range [][]string{{"-out", path}, {"-resume", path}, {"-shard", "0:1"}} {
-		err := run(context.Background(), append([]string{"-chips", "0"}, append(flag, "all")...))
-		if err == nil || !strings.Contains(err.Error(), `not "all"`) {
-			t.Errorf("%s with all: err = %v, want the \"all\" rejection", flag[0], err)
+	path := filepath.Join(t.TempDir(), "kept.jsonl")
+	if err := os.WriteFile(path, []byte("keep\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"all"}
+	for name := range sweepless {
+		if _, known := artifacts()[name]; !known {
+			t.Errorf("sweepless lists %q, which is no artifact", name)
 		}
-		if _, serr := os.Stat(path); !errors.Is(serr, fs.ErrNotExist) {
-			t.Errorf("%s with all left %s behind (stat: %v)", flag[0], path, serr)
+		names = append(names, name)
+	}
+	for _, name := range names {
+		for _, flag := range [][]string{{"-out", path}, {"-resume", path}, {"-shard", "0:1"}} {
+			err := run(context.Background(), append([]string{"-chips", "0"}, append(flag, name)...))
+			if err == nil || !strings.Contains(err.Error(), "take one artifact's sweep") {
+				t.Errorf("%s with %s: err = %v, want the one-sweep rejection", flag[0], name, err)
+			}
+			if b, err := os.ReadFile(path); err != nil || string(b) != "keep\n" {
+				t.Errorf("%s with %s left %s holding %q (err %v)", flag[0], name, path, b, err)
+			}
 		}
 	}
 }

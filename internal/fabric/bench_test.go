@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"hbmrd/internal/core"
 	"hbmrd/internal/hbm"
@@ -61,7 +60,7 @@ func BenchmarkShardMerge(b *testing.B) {
 		b.Fatal(err)
 	}
 	// Carve the reference into 4 shard payloads and synthesize each
-	// shard's header, exactly what fetchShard hands the merge.
+	// shard's header, exactly what runShard hands the merge.
 	nl := bytes.IndexByte(full, '\n')
 	var parentHeader core.SweepHeader
 	if err := json.Unmarshal(full[:nl], &parentHeader); err != nil {
@@ -108,7 +107,7 @@ func BenchmarkShardMerge(b *testing.B) {
 
 // fullBenchSpec is the -full-scale fabric workload: 96 plan cells (four
 // channels x 24 rows) against the demo spec's 12 - the scale at which
-// distribution has to amortize its dispatch, polling, and merge overhead.
+// distribution has to amortize its dispatch, stream, and merge overhead.
 func fullBenchSpec(b *testing.B, iter int) serve.SweepSpec {
 	b.Helper()
 	rows := core.SampleRows(24)
@@ -125,7 +124,7 @@ func fullBenchSpec(b *testing.B, iter int) serve.SweepSpec {
 }
 
 // BenchmarkFabricSweep compares sweep throughput local vs distributed
-// across two in-process workers - the fabric's dispatch, polling, and
+// across two in-process workers - the fabric's dispatch, stream, and
 // merge overhead against the sweeps it parallelizes - at the demo scale
 // (12 cells) and at -full scale (96 cells, under full/).
 func BenchmarkFabricSweep(b *testing.B) {
@@ -161,8 +160,7 @@ func BenchmarkFabricSweep(b *testing.B) {
 		}
 	}
 	runFabric := func(b *testing.B, spec func(*testing.B, int) serve.SweepSpec, shards int) {
-		c, err := New(Config{Peers: []string{newBenchWorker(b), newBenchWorker(b)}, Shards: shards,
-			PollInterval: 2 * time.Millisecond})
+		c, err := New(Config{Peers: []string{newBenchWorker(b), newBenchWorker(b)}, Shards: shards})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -3,6 +3,13 @@
 // pool of hbmrdd workers over the service's ordinary HTTP surface, and
 // merges the shard streams back into the single-sweep spool file.
 //
+// One shard attempt is three requests to one worker: POST /sweeps submits
+// the shard spec, GET /sweeps/<shard-fp> reads the worker's live tail of
+// the job to EOF, and GET /sweeps/<shard-fp>/status then says how the job
+// ended. The coordinator never polls: the tail ends when the job does,
+// and the body is kept only when the status is "cached", the worker's
+// stored byte and record counts match it, and every record line is JSON.
+//
 // The byte-identity contract: a sweep distributed across any number of
 // workers - including workers that crash, hang, answer 5xx, or tear
 // their streams mid-body - produces a final JSONL file byte-identical to
@@ -22,7 +29,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"os"
 	"sync"
@@ -42,20 +48,10 @@ type Config struct {
 	Shards int
 	// Retry is the backoff discipline for per-shard dispatch.
 	Retry Policy
-	// ShardTimeout bounds one shard end to end - submit, poll, fetch,
-	// across all retries (default 2m).
+	// ShardTimeout bounds one shard end to end - submit, stream, status
+	// check, across all retries (0 = no bound; hbmrdd's -shard-timeout
+	// defaults to 2m).
 	ShardTimeout time.Duration
-	// PollInterval paces shard status polling (default 25ms). The first
-	// polls of a shard run at this interval; once a shard has survived a
-	// couple of polls the interval grows geometrically (with jitter) up
-	// to PollMaxInterval, so long shards stop burning a request every
-	// 25ms while tiny shards keep their fast completion detection - the
-	// poll-overhead follow-on the hbmrd_fabric_poll_wait_seconds metric
-	// and BenchmarkFabricOverhead measure.
-	PollInterval time.Duration
-	// PollMaxInterval caps the grown poll interval (default 20x
-	// PollInterval).
-	PollMaxInterval time.Duration
 	// QuarantineAfter is the consecutive-failure count that quarantines a
 	// worker (default 2); a quarantined worker rejoins when its /healthz
 	// answers again.
@@ -68,9 +64,9 @@ type Config struct {
 	// Log receives coordinator log lines (default: discard; wrap any
 	// printf-shaped sink with telemetry.NewLogger).
 	Log *telemetry.Logger
-	// Tracer, when set, receives per-shard spans (dispatch through
-	// fetch) and the merge span for every distributed sweep, keyed by
-	// the parent fingerprint.
+	// Tracer, when set, receives per-shard spans (dispatch through the
+	// validated stream) and the merge span for every distributed sweep,
+	// keyed by the parent fingerprint.
 	Tracer *telemetry.Tracer
 }
 
@@ -110,20 +106,6 @@ func (c *Coordinator) quarantineAfter() int {
 		return c.cfg.QuarantineAfter
 	}
 	return 2
-}
-
-func (c *Coordinator) pollInterval() time.Duration {
-	if c.cfg.PollInterval > 0 {
-		return c.cfg.PollInterval
-	}
-	return 25 * time.Millisecond
-}
-
-func (c *Coordinator) pollMaxInterval() time.Duration {
-	if c.cfg.PollMaxInterval > 0 {
-		return c.cfg.PollMaxInterval
-	}
-	return 20 * c.pollInterval()
 }
 
 // splitPlan cuts cells into n contiguous near-equal ranges.
@@ -347,119 +329,59 @@ type statusReply struct {
 	Bytes   int64  `json:"bytes"`
 }
 
-// runShard performs one attempt: submit the shard spec, poll it to the
-// store, fetch the stream, and validate it against the worker's own
-// record and byte counts (a short body is a torn stream, not a result).
+// runShard performs one attempt: submit the shard spec, read the worker's
+// live tail of it to EOF, then ask the worker how the job ended. The tail
+// ends whenever the job does, so the body is the shard's result only if
+// the status says "cached" and the body matches the stored byte and
+// record counts with one JSON value per record; a failed or drained job,
+// or a torn stream, is a retryable error. A retry that reattaches to a
+// worker still running the shard submits there too: the worker dedups
+// it, and the tail picks up the job in flight.
 func (c *Coordinator) runShard(ctx context.Context, p *peer, fp string, specJSON []byte) (core.SweepHeader, []byte, error) {
 	var zero core.SweepHeader
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.url+"/sweeps", bytes.NewReader(specJSON))
-	if err != nil {
-		return zero, nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return zero, nil, err
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	resp.Body.Close()
-	if err != nil {
-		return zero, nil, err
-	}
+	status, body, err := c.request(ctx, http.MethodPost, p.url+"/sweeps", specJSON)
 	switch {
-	case resp.StatusCode == http.StatusBadRequest:
+	case err != nil:
+		return zero, nil, err
+	case status == http.StatusBadRequest:
 		// The spec itself is broken; no worker will ever accept it.
 		return zero, nil, Permanent(fmt.Errorf("fabric: shard spec rejected: %s", bytes.TrimSpace(body)))
-	case resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted:
-		return zero, nil, fmt.Errorf("fabric: submit: %s: %s", resp.Status, bytes.TrimSpace(body))
+	case status != http.StatusOK && status != http.StatusAccepted:
+		return zero, nil, fmt.Errorf("fabric: submit: %d: %s", status, bytes.TrimSpace(body))
 	}
 
-	st, err := c.pollStatus(ctx, p, fp)
+	status, body, err = c.request(ctx, http.MethodGet, p.url+"/sweeps/"+fp, nil)
 	if err != nil {
 		return zero, nil, err
 	}
-	return c.fetchShard(ctx, p, fp, st)
-}
-
-// pollStatus waits for the shard to reach the worker's store. The
-// wait between polls starts at PollInterval and, once the shard has
-// survived two polls (so tiny shards still complete at full speed),
-// grows 1.5x per poll up to PollMaxInterval with subtractive jitter —
-// the hbmrd_fabric_poll_wait_seconds metric showed fixed-interval
-// polling dominating the fabric's overhead on small sweeps (PR 8
-// follow-on; see BenchmarkFabricOverhead).
-func (c *Coordinator) pollStatus(ctx context.Context, p *peer, fp string) (statusReply, error) {
-	interval, maxInterval := c.pollInterval(), c.pollMaxInterval()
-	polls := 0
-	for {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.url+"/sweeps/"+fp+"/status", nil)
-		if err != nil {
-			return statusReply{}, err
-		}
-		resp, err := c.client.Do(req)
-		if err != nil {
-			return statusReply{}, err
-		}
-		var st statusReply
-		derr := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&st)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return statusReply{}, fmt.Errorf("fabric: status: %s", resp.Status)
-		}
-		if derr != nil {
-			return statusReply{}, derr
-		}
-		switch st.Status {
-		case "cached":
-			return st, nil
-		case serve.StatusFailed:
-			return statusReply{}, fmt.Errorf("fabric: shard failed on worker: %s", st.Error)
-		case serve.StatusCheckpointed:
-			// The worker drained mid-shard; its spool keeps the valid
-			// prefix, and a resubmission (this retry or a later one)
-			// resumes it.
-			return statusReply{}, fmt.Errorf("fabric: worker checkpointed the shard mid-run")
-		}
-		polls++
-		wait := interval
-		if wait > 0 {
-			wait -= time.Duration(rand.Float64() * 0.2 * float64(wait))
-		}
-		mPollWait.Observe(wait.Seconds())
-		select {
-		case <-ctx.Done():
-			return statusReply{}, ctx.Err()
-		case <-time.After(wait):
-		}
-		if polls >= 2 {
-			interval = interval * 3 / 2
-			if interval > maxInterval {
-				interval = maxInterval
-			}
-		}
-	}
-}
-
-// fetchShard downloads a stored shard stream and validates it.
-func (c *Coordinator) fetchShard(ctx context.Context, p *peer, fp string, st statusReply) (core.SweepHeader, []byte, error) {
-	var zero core.SweepHeader
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.url+"/sweeps/"+fp, nil)
-	if err != nil {
-		return zero, nil, err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return zero, nil, err
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return zero, nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return zero, nil, fmt.Errorf("fabric: fetch: %s", resp.Status)
+	if status != http.StatusOK {
+		return zero, nil, fmt.Errorf("fabric: stream: %d: %s", status, bytes.TrimSpace(body))
 	}
 	mFetchBytes.Add(int64(len(body)))
+
+	status, reply, err := c.request(ctx, http.MethodGet, p.url+"/sweeps/"+fp+"/status", nil)
+	if err != nil {
+		return zero, nil, err
+	}
+	if status != http.StatusOK {
+		return zero, nil, fmt.Errorf("fabric: status: %d: %s", status, bytes.TrimSpace(reply))
+	}
+	var st statusReply
+	if err := json.Unmarshal(reply, &st); err != nil {
+		return zero, nil, fmt.Errorf("fabric: status reply: %w", err)
+	}
+	switch st.Status {
+	case "cached":
+	case serve.StatusFailed:
+		return zero, nil, fmt.Errorf("fabric: shard failed on worker: %s", st.Error)
+	case serve.StatusCheckpointed:
+		// The worker drained mid-shard; its spool keeps the valid prefix,
+		// and a resubmission (this retry or a later one) resumes it.
+		return zero, nil, fmt.Errorf("fabric: worker checkpointed the shard mid-run")
+	default:
+		// A drain can close a job it never ran, leaving it queued.
+		return zero, nil, fmt.Errorf("fabric: shard stream ended with the job %s", st.Status)
+	}
 	if int64(len(body)) != st.Bytes {
 		return zero, nil, fmt.Errorf("fabric: torn shard stream: got %d bytes, worker stored %d", len(body), st.Bytes)
 	}
@@ -478,5 +400,41 @@ func (c *Coordinator) fetchShard(ctx context.Context, p *peer, fp string, st sta
 	if got := bytes.Count(payload, []byte("\n")); got != st.Records {
 		return zero, nil, fmt.Errorf("fabric: shard stream holds %d records, worker stored %d", got, st.Records)
 	}
+	// A worker resuming a spool that a crash left with a garbage tail
+	// streams that tail before the run rewrites it, at the same offsets,
+	// so the counts above can all match: each record must also be JSON.
+	for rest, n := payload, 0; len(rest) > 0; n++ {
+		var line []byte
+		line, rest, _ = bytes.Cut(rest, []byte("\n"))
+		if !json.Valid(line) {
+			return zero, nil, fmt.Errorf("fabric: torn shard stream: record %d is not JSON", n)
+		}
+	}
 	return h, payload, nil
+}
+
+// request sends one worker request and reads the whole response body. A
+// body cut short by the transport (a killed worker) is an error.
+func (c *Coordinator) request(ctx context.Context, method, url string, body []byte) (int, []byte, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, rd)
+	if err != nil {
+		return 0, nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := c.client.Do(req)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return 0, nil, err
+	}
+	return resp.StatusCode, b, nil
 }

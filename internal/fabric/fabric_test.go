@@ -245,10 +245,23 @@ func submitAndFetch(t *testing.T, url string, spec serve.SweepSpec) []byte {
 }
 
 // TestChaosConvergence injects every failure mode the fabric hardens
-// against - dropped connections, 5xx answers, torn shard streams, and
-// workers slower than the attempt deadline - and demands the final
-// stream still match an uninterrupted local run byte for byte.
+// against - dropped connections, 5xx answers, torn shard streams, workers
+// slower than the attempt deadline, and shard jobs that end failed or
+// checkpointed - and demands the final stream still match an
+// uninterrupted local run byte for byte.
 func TestChaosConvergence(t *testing.T) {
+	// tornStream cuts shard stream bodies, never the status replies after
+	// them, so the byte check after EOF is what must reject the cut body.
+	tornStream := func(count int) *Fault {
+		return &Fault{Match: "/sweeps/sha256:", Except: "/status", Method: http.MethodGet,
+			Mode: FaultTruncate, TruncateTo: 40, Count: count}
+	}
+	// endedAs makes the status reply after a shard's stream report a job
+	// that ended in status instead of in the worker's store.
+	endedAs := func(status string, count int) *Fault {
+		return &Fault{Match: "/status", Method: http.MethodGet, Mode: FaultReply,
+			Reply: `{"status":"` + status + `","error":"injected"}`, Count: count}
+	}
 	scenarios := []struct {
 		name   string
 		retry  Policy
@@ -260,9 +273,7 @@ func TestChaosConvergence(t *testing.T) {
 		{"5xx", testPolicy(), []*Fault{
 			{Match: "/sweeps", Method: http.MethodPost, Mode: Fault5xx, Count: 3},
 		}},
-		{"torn-stream", testPolicy(), []*Fault{
-			{Match: "/sweeps/sha256:", Method: http.MethodGet, Mode: FaultTruncate, TruncateTo: 40, Count: 3},
-		}},
+		{"torn-stream", testPolicy(), []*Fault{tornStream(3)}},
 		{"slow-worker", func() Policy {
 			p := testPolicy()
 			p.AttemptTimeout = 250 * time.Millisecond
@@ -273,8 +284,10 @@ func TestChaosConvergence(t *testing.T) {
 		{"mixed", testPolicy(), []*Fault{
 			{Match: "/sweeps", Method: http.MethodPost, Mode: FaultDrop, Count: 1},
 			{Match: "/sweeps", Method: http.MethodPost, Mode: Fault5xx, Count: 1},
-			{Match: "/sweeps/sha256:", Method: http.MethodGet, Mode: FaultTruncate, TruncateTo: 40, Count: 1},
+			tornStream(1),
 		}},
+		{"status-failed", testPolicy(), []*Fault{endedAs(serve.StatusFailed, 2)}},
+		{"status-checkpointed", testPolicy(), []*Fault{endedAs(serve.StatusCheckpointed, 2)}},
 	}
 	for _, sc := range scenarios {
 		sc := sc
@@ -284,16 +297,103 @@ func TestChaosConvergence(t *testing.T) {
 			want := referenceRun(t, spec)
 			w1, _ := newWorker(t, 2)
 			w2, _ := newWorker(t, 2)
+			wantHits := map[string]int{}
+			for _, f := range sc.faults {
+				wantHits[string(f.Mode)] += f.Count
+			}
 			inj := NewFaultInjector(nil, sc.faults...)
 			_, front := frontService(t, []string{w1, w2}, &http.Client{Transport: inj}, sc.retry)
 			got := submitAndFetch(t, front.URL, spec)
 			if !bytes.Equal(got, want) {
 				t.Errorf("stream under %s faults (%d bytes) diverges from local run (%d bytes)", sc.name, len(got), len(want))
 			}
-			if inj.Injected() == 0 {
-				t.Errorf("scenario %s injected no faults; the chaos path was not exercised", sc.name)
+			// Every fault landed, and every cut body was a shard stream.
+			gotHits := map[string]int{}
+			for _, hit := range inj.Hits() {
+				mode, req, _ := strings.Cut(hit, " ")
+				gotHits[mode]++
+				if FaultMode(mode) == FaultTruncate && (!strings.HasPrefix(req, "GET /sweeps/sha256:") || strings.HasSuffix(req, "/status")) {
+					t.Errorf("truncation landed on %q, not on a shard stream", req)
+				}
+			}
+			for mode, n := range wantHits {
+				if gotHits[mode] != n {
+					t.Errorf("scenario %s injected %d %s faults, want %d (hits %v)", sc.name, gotHits[mode], mode, n, inj.Hits())
+				}
 			}
 		})
+	}
+}
+
+// TestCrashTornSpoolIsNotMerged: a worker restarted after a crash can
+// hold a shard spool whose tail the file system zero-filled. Its live tail
+// streams those bytes before the resumed run truncates and rewrites them,
+// and the body still has the stored object's length and line count. The
+// coordinator must reject it as a torn stream and merge the stored bytes.
+func TestCrashTornSpoolIsNotMerged(t *testing.T) {
+	t.Parallel()
+	spec := testSpec(t, "")
+	want := referenceRun(t, spec)
+	sw, err := serve.Resolve(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard := spec
+	shard.Shard = &serve.ShardSpec{Start: 0, End: sw.Cells}
+	shardBytes := referenceRun(t, shard)
+	// Header and first record intact, then zeros where the second record
+	// starts: no newline is lost or gained.
+	hdr := bytes.IndexByte(shardBytes, '\n') + 1
+	rec := hdr + bytes.IndexByte(shardBytes[hdr:], '\n') + 1
+	torn := append(append([]byte(nil), shardBytes[:rec]...), make([]byte, 8)...)
+
+	dir := t.TempDir()
+	spoolDir := filepath.Join(dir, "spool")
+	if err := os.MkdirAll(spoolDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	shardFP := core.ShardFingerprint(sw.Fingerprint, 0, sw.Cells)
+	if err := os.WriteFile(filepath.Join(spoolDir, strings.TrimPrefix(shardFP, "sha256:")+".jsonl"), torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := serve.New(serve.Config{Store: st, Workers: 1, Jobs: 2, Log: telemetry.NewLogger(t.Logf)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { ts.Close(); srv.Drain() })
+
+	// Hold the worker's only slot, so the shard waits in its queue while
+	// the coordinator's tail streams the torn spool.
+	busy := `{"kind":"ber","chips":[0],"identity_mapping":true,
+		"config":{"Channels":[0,1,2,3],"Rows":` + intsJSON(core.SampleRows(48)) + `,"Patterns":["Rowstripe0","Checkered0"],"Reps":2}}`
+	resp, err := http.Post(ts.URL+"/sweeps", "application/json", strings.NewReader(busy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("busy sweep submit: %d", resp.StatusCode)
+	}
+
+	c, err := New(Config{Peers: []string{ts.URL}, Shards: 1, Retry: testPolicy(), Log: telemetry.NewLogger(t.Logf)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged := filepath.Join(t.TempDir(), "merged.jsonl")
+	if err := c.Distribute(context.Background(), sw, merged); err != nil {
+		t.Fatalf("Distribute: %v", err)
+	}
+	got, err := os.ReadFile(merged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("merged sweep (%d bytes) diverges from the local run (%d bytes): the crash-torn tail was merged", len(got), len(want))
 	}
 }
 

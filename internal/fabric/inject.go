@@ -25,17 +25,23 @@ const (
 	FaultTruncate FaultMode = "truncate"
 	// Fault5xx answers 500 without reaching the worker.
 	Fault5xx FaultMode = "5xx"
+	// FaultReply answers 200 with Reply as the body without reaching the
+	// worker - a worker reporting a state of its own.
+	FaultReply FaultMode = "reply"
 )
 
-// Fault is one failure rule: requests whose URL path contains Match (and
-// method equals Method, when set) suffer Mode, at most Count times.
+// Fault is one failure rule: requests whose URL path contains Match but
+// not Except (when set), and whose method equals Method (when set), suffer
+// Mode, at most Count times.
 type Fault struct {
 	Match      string
+	Except     string
 	Method     string
 	Mode       FaultMode
 	Count      int
 	Delay      time.Duration // FaultDelay stall
 	TruncateTo int           // FaultTruncate: response bytes kept
+	Reply      string        // FaultReply body
 }
 
 // FaultInjector is an http.RoundTripper that wraps a real transport and
@@ -44,9 +50,9 @@ type Fault struct {
 type FaultInjector struct {
 	Transport http.RoundTripper
 
-	mu       sync.Mutex
-	faults   []*Fault
-	injected int
+	mu     sync.Mutex
+	faults []*Fault
+	hits   []string
 }
 
 // NewFaultInjector wraps transport (nil = http.DefaultTransport).
@@ -57,11 +63,12 @@ func NewFaultInjector(transport http.RoundTripper, faults ...*Fault) *FaultInjec
 	return &FaultInjector{Transport: transport, faults: faults}
 }
 
-// Injected reports how many requests were failure-injected.
-func (fi *FaultInjector) Injected() int {
+// Hits lists the failure-injected requests in order, each as
+// "<mode> <method> <path>".
+func (fi *FaultInjector) Hits() []string {
 	fi.mu.Lock()
 	defer fi.mu.Unlock()
-	return fi.injected
+	return append([]string(nil), fi.hits...)
 }
 
 // match consumes one count of the first applicable fault, if any.
@@ -72,14 +79,14 @@ func (fi *FaultInjector) match(req *http.Request) *Fault {
 		if f.Count <= 0 {
 			continue
 		}
-		if !strings.Contains(req.URL.Path, f.Match) {
+		if !strings.Contains(req.URL.Path, f.Match) || (f.Except != "" && strings.Contains(req.URL.Path, f.Except)) {
 			continue
 		}
 		if f.Method != "" && f.Method != req.Method {
 			continue
 		}
 		f.Count--
-		fi.injected++
+		fi.hits = append(fi.hits, fmt.Sprintf("%s %s %s", f.Mode, req.Method, req.URL.Path))
 		return f
 	}
 	return nil
@@ -94,14 +101,9 @@ func (fi *FaultInjector) RoundTrip(req *http.Request) (*http.Response, error) {
 	case FaultDrop:
 		return nil, fmt.Errorf("fabric: injected connection drop on %s %s", req.Method, req.URL.Path)
 	case Fault5xx:
-		return &http.Response{
-			StatusCode: http.StatusInternalServerError,
-			Status:     "500 injected",
-			Proto:      "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
-			Header:  http.Header{},
-			Body:    io.NopCloser(strings.NewReader("injected worker failure\n")),
-			Request: req,
-		}, nil
+		return cannedResponse(req, http.StatusInternalServerError, "injected worker failure\n"), nil
+	case FaultReply:
+		return cannedResponse(req, http.StatusOK, f.Reply), nil
 	case FaultDelay:
 		select {
 		case <-req.Context().Done():
@@ -127,5 +129,18 @@ func (fi *FaultInjector) RoundTrip(req *http.Request) (*http.Response, error) {
 		return resp, nil
 	default:
 		return fi.Transport.RoundTrip(req)
+	}
+}
+
+// cannedResponse is a reply the injector makes up in the worker's place.
+func cannedResponse(req *http.Request, code int, body string) *http.Response {
+	return &http.Response{
+		StatusCode: code,
+		Status:     fmt.Sprintf("%d injected", code),
+		Proto:      "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header:        http.Header{},
+		Body:          io.NopCloser(strings.NewReader(body)),
+		ContentLength: int64(len(body)),
+		Request:       req,
 	}
 }

@@ -5,21 +5,16 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"hbmrd/internal/serve"
 	"hbmrd/internal/store"
 	"hbmrd/internal/telemetry"
 )
 
-// BenchmarkFabricOverhead prices the coordinator's control plane - the
-// PR 8 follow-on measurement. Beyond ns/op it reports polls/sweep (how
-// many shard status polls one distributed sweep costs) and poll_wait_%
-// (the share of wall time spent sleeping between polls), both read from
-// the hbmrd_fabric_poll_wait_seconds histogram the poll loop feeds. The
-// adaptive poll interval - base interval for the first two polls, then
-// 1.5x growth per poll toward PollMaxInterval, with subtractive jitter
-// - is what keeps polls/sweep flat as shards get longer.
+// BenchmarkFabricOverhead prices the coordinator's control plane: one
+// distributed 12-cell sweep per iteration across two in-process workers,
+// so ns/op is the engine time of 12 cells plus every shard's submit,
+// stream and status requests and the merge.
 func BenchmarkFabricOverhead(b *testing.B) {
 	newOverheadWorker := func(b *testing.B) string {
 		st, err := store.Open(b.TempDir())
@@ -35,15 +30,12 @@ func BenchmarkFabricOverhead(b *testing.B) {
 		return ts.URL
 	}
 
-	c, err := New(Config{Peers: []string{newOverheadWorker(b), newOverheadWorker(b)}, Shards: 4,
-		PollInterval: 2 * time.Millisecond})
+	c, err := New(Config{Peers: []string{newOverheadWorker(b), newOverheadWorker(b)}, Shards: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
 	dir := b.TempDir()
 
-	polls0, wait0 := mPollWait.Count(), mPollWait.Sum()
-	start := time.Now()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sw, err := serve.Resolve(benchSpec(b, i))
@@ -53,12 +45,5 @@ func BenchmarkFabricOverhead(b *testing.B) {
 		if err := c.Distribute(context.Background(), sw, filepath.Join(dir, "merged.jsonl")); err != nil {
 			b.Fatal(err)
 		}
-	}
-	b.StopTimer()
-	elapsed := time.Since(start)
-
-	b.ReportMetric(float64(mPollWait.Count()-polls0)/float64(b.N), "polls/sweep")
-	if secs := elapsed.Seconds(); secs > 0 {
-		b.ReportMetric((mPollWait.Sum()-wait0)/secs*100, "poll_wait_%")
 	}
 }

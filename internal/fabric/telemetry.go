@@ -5,7 +5,7 @@ import (
 )
 
 // Coordinator metrics. Handles resolve once at init; every update on
-// the dispatch/poll path is a plain atomic. All of it is out-of-band:
+// the dispatch path is a plain atomic. All of it is out-of-band:
 // nothing here touches shard payloads, headers, or the merged spool.
 var (
 	mShardsDispatched = telemetry.Default.Counter("hbmrd_fabric_shards_dispatched_total")
@@ -20,12 +20,6 @@ var (
 	mMergeFull        = telemetry.Default.Counter("hbmrd_fabric_merges_total", telemetry.L("outcome", "full"))
 	mMergePartial     = telemetry.Default.Counter("hbmrd_fabric_merges_total", telemetry.L("outcome", "partial"))
 	mMergeNone        = telemetry.Default.Counter("hbmrd_fabric_merges_total", telemetry.L("outcome", "none"))
-
-	// mPollWait's count is the number of status polls issued and its sum
-	// the total wall time spent waiting between them — together they are
-	// the dispatch-overhead measurement BenchmarkFabricOverhead reports
-	// as polls/sweep and poll-wait share (the PR 8 follow-on).
-	mPollWait = telemetry.Default.Histogram("hbmrd_fabric_poll_wait_seconds", telemetry.DurationBuckets)
 )
 
 func init() {
@@ -36,8 +30,7 @@ func init() {
 	telemetry.Default.Help("hbmrd_fabric_shard_failures_total", "Shards that exhausted their retry budget.")
 	telemetry.Default.Help("hbmrd_fabric_peer_quarantines_total", "Workers quarantined after consecutive failures.")
 	telemetry.Default.Help("hbmrd_fabric_peer_reinstates_total", "Quarantined workers reinstated by a healthz probe.")
-	telemetry.Default.Help("hbmrd_fabric_shard_fetch_bytes_total", "Bytes downloaded from workers' stored shard streams.")
+	telemetry.Default.Help("hbmrd_fabric_shard_fetch_bytes_total", "Bytes read from workers' shard streams.")
 	telemetry.Default.Help("hbmrd_fabric_merge_bytes_total", "Bytes written to merged spool files.")
 	telemetry.Default.Help("hbmrd_fabric_merges_total", "Merge outcomes: full prefix, partial prefix (local resume), or none.")
-	telemetry.Default.Help("hbmrd_fabric_poll_wait_seconds", "Wall time spent sleeping between shard status polls (count = polls issued).")
 }

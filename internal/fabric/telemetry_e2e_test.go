@@ -82,8 +82,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	// share this process, and so this registry). Fabric: 4 shards, one
 	// full merge. Store: each worker finalizes its shards and the front
 	// service finalizes the merged sweep. Query: exactly one miss then
-	// one hit. (Poll-wait stays unasserted: shards this small can finish
-	// before the first status-poll sleep.)
+	// one hit.
 	deltas := []struct {
 		name string
 		got  int64
@@ -122,8 +121,6 @@ func TestMetricsEndToEnd(t *testing.T) {
 		`hbmrd_sweep_cells_total{kind="ber"}`,
 		"hbmrd_fabric_shards_dispatched_total",
 		`hbmrd_fabric_merges_total{outcome="full"}`,
-		"# TYPE hbmrd_fabric_poll_wait_seconds histogram",
-		"hbmrd_fabric_poll_wait_seconds_count",
 		"hbmrd_store_puts_total",
 		"hbmrd_query_cache_hits_total",
 		`hbmrd_http_requests_total{code="200",route="query"}`,

@@ -128,6 +128,69 @@ func TestCorruptColumnarTwinFallsBackToJSONL(t *testing.T) {
 	}
 }
 
+// TestTornDerivedEntryIsAMiss: derived entries are written without an
+// fsync, so a crash can leave one empty, cut short or zero-filled. Each
+// is a miss: the engine recomputes the aggregate byte-identically to
+// RunCold and rewrites the entry, and the next run hits it again.
+func TestTornDerivedEntryIsAMiss(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "hcfirst.jsonl")
+	runTinyHCFirstToFile(t, path)
+	st, err := store.Open(filepath.Join(dir, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := Ingest(st, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := FigureSpec("fig5", meta.Fingerprint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(st)
+	ref, err := eng.RunCold(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(spec); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := filepath.Glob(filepath.Join(dir, "store", "derived", "*", "*.json"))
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("derived entries = %v (err %v), want exactly one", entries, err)
+	}
+	for _, tc := range []struct {
+		name string
+		torn []byte
+	}{
+		{"empty", nil},
+		{"half", ref.JSON[:len(ref.JSON)/2]},
+		{"zero-filled", make([]byte, len(ref.JSON))},
+	} {
+		if err := os.WriteFile(entries[0], tc.torn, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Run(spec)
+		if err != nil {
+			t.Fatalf("%s entry: %v", tc.name, err)
+		}
+		if res.CacheHit {
+			t.Errorf("%s entry was served as a cache hit", tc.name)
+		}
+		if !bytes.Equal(res.JSON, ref.JSON) {
+			t.Errorf("%s entry: recomputed aggregate differs from RunCold", tc.name)
+		}
+		if b, err := os.ReadFile(entries[0]); err != nil || !bytes.Equal(b, ref.JSON) {
+			t.Errorf("%s entry was not rewritten (err %v)", tc.name, err)
+		}
+		if again, err := eng.Run(spec); err != nil || !again.CacheHit {
+			t.Errorf("%s entry: the run after the rewrite missed (err %v)", tc.name, err)
+		}
+	}
+}
+
 // TestRejectedSpecDoesNotQuarantineTwin pins the boundary of the
 // quarantine heuristic: a spec the engine rejects (unknown metric here)
 // fails on ANY representation, so it must surface as ErrSpec without

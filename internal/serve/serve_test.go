@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -300,6 +301,61 @@ func TestServiceDrainCheckpointsAndResumes(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("resumed service stream (%d bytes) diverges from uninterrupted run (%d bytes)", len(got), len(want))
+	}
+}
+
+// TestSubmitDuringDrain races submissions against Drain. A submit must
+// never send on the closed job queue: each one gets a clean answer -
+// queued, or 503 once the drain has begun - and a submit after Drain
+// returns is a 503. Run it under -race.
+func TestSubmitDuringDrain(t *testing.T) {
+	client := &http.Client{Timeout: 10 * time.Second}
+	for round := 0; round < 10; round++ {
+		st, err := store.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := New(Config{Store: st, Workers: 1, Jobs: 2, Log: telemetry.NewLogger(func(string, ...any) {})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func(row int) {
+				defer wg.Done()
+				spec := fmt.Sprintf(`{"kind":"ber","chips":[0],"identity_mapping":true,
+					"config":{"Channels":[0],"Rows":[%d],"Patterns":["Rowstripe0"],"Reps":1}}`, row)
+				<-start
+				resp, err := client.Post(ts.URL+"/sweeps", "application/json", strings.NewReader(spec))
+				if err != nil {
+					t.Errorf("submit during drain: %v", err)
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusServiceUnavailable {
+					t.Errorf("submit during drain: status %d, want 202 or 503", resp.StatusCode)
+				}
+			}(2000 + 100*round + i)
+		}
+		close(start)
+		srv.Drain()
+		wg.Wait()
+
+		resp, err := client.Post(ts.URL+"/sweeps", "application/json", strings.NewReader(tinySpec()))
+		if err != nil {
+			t.Errorf("submit after drain: %v", err)
+		} else if resp.Body.Close(); resp.StatusCode != http.StatusServiceUnavailable {
+			t.Errorf("submit after drain: status %d, want 503", resp.StatusCode)
+		}
+		if t.Failed() {
+			// A handler that panicked while holding the server's lock never
+			// returns, and ts.Close would wait for it forever.
+			return
+		}
+		ts.Close()
 	}
 }
 

@@ -76,6 +76,9 @@ type Server struct {
 
 	mu   sync.Mutex
 	jobs map[string]*job
+	// draining is set under mu before Drain closes queue, so no submit
+	// sends on the closed channel.
+	draining bool
 
 	runCtx context.Context
 	drain  context.CancelFunc
@@ -157,8 +160,12 @@ func (s *Server) logf(format string, args ...any) {
 // Drain stops the service gracefully: in-flight sweeps are cancelled,
 // their sinks left as valid checkpoint prefixes on disk, and the workers
 // joined. A restarted server resumes checkpointed spools from where they
-// stopped when their specs are resubmitted.
+// stopped when their specs are resubmitted. Submits that arrive once the
+// drain has begun are answered 503.
 func (s *Server) Drain() {
+	s.mu.Lock()
+	s.draining = true
+	s.mu.Unlock()
 	s.drain()
 	close(s.queue)
 	s.wg.Wait()
@@ -313,6 +320,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.mu.Lock()
+	if s.draining {
+		s.mu.Unlock()
+		http.Error(w, "service is draining", http.StatusServiceUnavailable)
+		return
+	}
 	j, exists := s.jobs[fp]
 	if exists {
 		status, _ := j.state()
@@ -479,23 +491,18 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request, fp string)
 // fingerprint hit, otherwise by tailing the live spool until the job
 // reaches a terminal state.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, fp string) {
-	if path, _, err := s.store.Path(fp); err == nil {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		f, err := os.Open(path)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		defer f.Close()
-		_, _ = io.Copy(w, f)
+	if s.serveStored(w, fp) {
 		return
 	}
-
 	s.mu.Lock()
 	j, ok := s.jobs[fp]
 	s.mu.Unlock()
 	if !ok {
-		http.Error(w, "unknown sweep", http.StatusNotFound)
+		// A job that finished since the store check has left the map, and
+		// its object is in the store now.
+		if !s.serveStored(w, fp) {
+			http.Error(w, "unknown sweep", http.StatusNotFound)
+		}
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -535,18 +542,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, fp string)
 			if err := emit(); err != nil { // drain the tail landed before done
 				return
 			}
-			if f == nil {
-				// The spool never became visible to this tailer: either the
-				// job finished and was finalized (spool unlinked) before our
-				// first poll - serve the store copy - or it never ran at all
-				// (e.g. left queued by a drain).
-				if path, _, err := s.store.Path(fp); err == nil {
-					if sf, err := os.Open(path); err == nil {
-						defer sf.Close()
-						_, _ = io.Copy(w, sf)
-						return
-					}
-				}
+			// The spool never became visible to this tailer: either the
+			// job finished and was finalized (spool unlinked) before our
+			// first poll - serve the store copy - or it never ran at all
+			// (e.g. left queued by a drain).
+			if f == nil && !s.serveStored(w, fp) {
 				http.Error(w, "sweep did not run", http.StatusServiceUnavailable)
 			}
 			return
@@ -555,6 +555,23 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, fp string)
 		case <-time.After(100 * time.Millisecond):
 		}
 	}
+}
+
+// serveStored copies the stored stream of fp, when the store holds it,
+// and reports whether it did.
+func (s *Server) serveStored(w http.ResponseWriter, fp string) bool {
+	path, _, err := s.store.Path(fp)
+	if err != nil {
+		return false
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return false
+	}
+	defer f.Close()
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	_, _ = io.Copy(w, f)
+	return true
 }
 
 func (s *Server) spoolPath(fp string) string {

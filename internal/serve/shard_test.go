@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"hbmrd/internal/core"
+	"hbmrd/internal/query"
 	"hbmrd/internal/store"
 	"hbmrd/internal/telemetry"
 )
@@ -119,6 +120,56 @@ func TestServiceShardSubmitAndMerge(t *testing.T) {
 	}
 	if !bytes.Equal(merged, wantPayload) {
 		t.Errorf("merged shard payloads (%d bytes) diverge from the whole-sweep payload (%d bytes)", len(merged), len(wantPayload))
+	}
+}
+
+// TestShardObjectTwinBuiltOnFirstQuery: a worker finalizes a shard
+// object without a columnar twin, because the coordinator reads only its
+// JSONL. A query over the shard still succeeds: its cold path builds the
+// twin, and the answer equals RunCold over that twin.
+func TestShardObjectTwinBuiltOnFirstQuery(t *testing.T) {
+	srv, ts := newTestService(t, t.TempDir())
+	defer srv.Drain()
+
+	fp := postSpec(t, ts.URL, shardSpec(t, tinySpec(), 0, 1)).Fingerprint
+	waitForStatus(t, ts.URL, fp, "cached")
+	path, meta, err := srv.store.Path(fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.Parent == "" {
+		t.Fatalf("stored shard has no parent in its meta: %+v", meta)
+	}
+	if _, err := os.Stat(filepath.Join(filepath.Dir(path), "results.hbmc")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("shard object was finalized with a columnar twin (stat: %v)", err)
+	}
+
+	qspec, err := query.FigureSpec("fig4", fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qJSON, err := json.Marshal(qspec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(qJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /query over a shard object: %d %s", resp.StatusCode, served)
+	}
+	if !srv.store.HasColumnar(fp) {
+		t.Error("the first query left no columnar twin behind")
+	}
+	ref, err := srv.queries.RunCold(qspec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(served, ref.JSON) {
+		t.Errorf("query served\n%s\nRunCold over the rebuilt twin answers\n%s", served, ref.JSON)
 	}
 }
 

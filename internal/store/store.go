@@ -23,16 +23,18 @@
 // JSONL is the interchange contract - fingerprints, golden digests,
 // resume and the HTTP streaming surface are all defined over it - but it
 // is a slow read: one reflective JSON parse per record. At finalize, Put
-// therefore transcodes the stream into a compact columnar twin
+// therefore transcodes a whole sweep into a compact columnar twin
 // (results.hbmc, see core.EncodeColumnar: per-field typed arrays behind a
 // self-describing header) stored beside the JSONL under the same
-// fingerprint, and queries read only the twin. The twin is derived data,
+// fingerprint, and queries read only the twin. Shard objects (Meta.Parent
+// set) finalize without one: their coordinator reads only the JSONL, so a
+// shard gets its twin when it is first queried. The twin is derived data,
 // best-effort by design: a stream the transcoder cannot decode finalizes
-// without one, and EnsureColumnar rebuilds it from the JSONL for objects
-// finalized before the format existed or whose twin was dropped as
-// corrupt (DropColumnar). GetColumnar refreshes the object's LRU recency
-// exactly as raw reads do, and Prune evicts and accounts the twin
-// together with its object.
+// without one, and EnsureColumnar rebuilds it from the JSONL for shard
+// objects, for objects finalized before the format existed, and for those
+// whose twin was dropped as corrupt (DropColumnar). GetColumnar refreshes
+// the object's LRU recency exactly as raw reads do, and Prune evicts and
+// accounts the twin together with its object.
 package store
 
 import (
@@ -53,10 +55,10 @@ import (
 // ErrNotFound reports a fingerprint with no finished sweep in the store.
 var ErrNotFound = errors.New("store: sweep not found")
 
-// ErrNoColumnar reports a stored sweep without a columnar twin (finalized
-// before the format existed, from a stream the transcoder could not
-// decode, or with its twin dropped). EnsureColumnar rebuilds it from the
-// JSONL.
+// ErrNoColumnar reports a stored sweep without a columnar twin (a shard
+// object not yet queried, one finalized before the format existed or from
+// a stream the transcoder could not decode, or one with its twin
+// dropped). EnsureColumnar rebuilds it from the JSONL.
 var ErrNoColumnar = errors.New("store: sweep has no columnar artifact")
 
 // Meta describes one stored sweep. Fingerprint, Kind and Cells identify
@@ -272,8 +274,11 @@ func (s *Store) put(meta Meta, r io.Reader) error {
 
 	// Transcode the staged stream into its columnar twin. Best-effort: a
 	// stream the decoder rejects (not a sweep, unknown kind) finalizes
-	// without one, and a query over it fails its rebuild the same way.
-	_ = transcodeColumnar(filepath.Join(stage, "results.jsonl"), filepath.Join(stage, "results.hbmc"))
+	// without one, and a query over it fails its rebuild the same way. A
+	// shard object skips it; its first query builds the twin.
+	if meta.Parent == "" {
+		_ = transcodeColumnar(filepath.Join(stage, "results.jsonl"), filepath.Join(stage, "results.hbmc"))
+	}
 
 	mb, err := json.MarshalIndent(meta, "", "  ")
 	if err != nil {
@@ -511,7 +516,10 @@ func (s *Store) GetDerived(key string) ([]byte, error) {
 // PutDerived caches a derived result under its content key, atomically
 // (staged write + rename). Losing a race to another writer is success: the
 // key is a content address over (sweep fingerprint, canonical query spec),
-// so concurrent writers stage identical bytes.
+// so concurrent writers stage identical bytes. The write is not synced: a
+// crash can leave the entry empty or torn, which costs one recompute,
+// because the query engine treats bytes that do not decode to a current
+// aggregate as a miss and rewrites them.
 func (s *Store) PutDerived(key string, data []byte) error {
 	path, err := s.derivedPath(key)
 	if err != nil {
@@ -525,9 +533,6 @@ func (s *Store) PutDerived(key string, data []byte) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	_, werr := stage.Write(data)
-	if serr := stage.Sync(); werr == nil {
-		werr = serr
-	}
 	if cerr := stage.Close(); werr == nil {
 		werr = cerr
 	}

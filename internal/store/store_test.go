@@ -343,8 +343,9 @@ func TestStorePruneLRU(t *testing.T) {
 
 // TestStoreColumnarTwin: Put transcodes the finalized stream into a
 // columnar twin under the same fingerprint; GetColumnar serves it and
-// decodes back to the exact records of the JSONL; a junk stream (not a
-// sweep) finalizes without a twin and GetColumnar reports ErrNoColumnar.
+// decodes back to the exact records of the JSONL; a shard object and a
+// junk stream (not a sweep) finalize without a twin and GetColumnar
+// reports ErrNoColumnar.
 func TestStoreColumnarTwin(t *testing.T) {
 	t.Parallel()
 	s := openTestStore(t)
@@ -392,6 +393,19 @@ func TestStoreColumnarTwin(t *testing.T) {
 	}
 	if re.String() != canon.String() {
 		t.Error("columnar twin does not re-encode to the stored JSONL")
+	}
+
+	// A shard object (Parent set) finalizes without a twin; the first
+	// query of it builds one through EnsureColumnar.
+	shardFP := "sha256:8888888888888888888888888888888888888888888888888888888888888888"
+	if err := s.Put(Meta{Fingerprint: shardFP, Kind: "ber", Cells: 2, Parent: testFP}, bytes.NewReader(canon.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.GetColumnar(shardFP); !errors.Is(err, ErrNoColumnar) {
+		t.Errorf("GetColumnar on a fresh shard object: %v, want ErrNoColumnar", err)
+	}
+	if err := s.EnsureColumnar(shardFP); err != nil || !s.HasColumnar(shardFP) {
+		t.Errorf("EnsureColumnar left the shard object without a twin (err %v)", err)
 	}
 
 	// Junk content finalizes (the store is format-agnostic about its

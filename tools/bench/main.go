@@ -40,10 +40,9 @@ import (
 // twin and one that first rebuilds a deleted twin from the JSONL, plus
 // the columnar artifact decode, full and projected, and encode), the
 // distributed fabric (shard-stream merge, 2-worker-vs-local sweep
-// throughput, and the coordinator control-plane overhead with its
-// polls/sweep and poll-wait-share metrics), and the telemetry overhead
-// pair (enabled-vs-disabled on the fault-model kernel and the engine
-// cell loop; allocs/op must stay 0).
+// throughput, and the coordinator control-plane overhead), and the
+// telemetry overhead pair (enabled-vs-disabled on the fault-model kernel
+// and the engine cell loop; allocs/op must stay 0).
 const defaultBench = "FlipMaskHot|FlipMaskRetention|FlipMaskFirstTouch|ColFlipMask|CalibFirstTouch|TrialJitter|Fig5HCFirstAcrossChips|RowInitReadHotPath|HammerReadHotPath|HammerThroughput|SweepJobsScaling|StrictTimingRowOps|QueryFig5ColdMiss|ColumnarDecode|ColumnarEncode|ShardMerge|FabricSweep|FabricOverhead|TelemetryOverhead"
 
 // Result is one benchmark data point.
