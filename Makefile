@@ -64,13 +64,19 @@ metrics-smoke:
 query-smoke:
 	go run ./tools/querysmoke
 
-# ci mirrors the full CI gate locally.
+# ci mirrors the CI gate locally: format, vet, build, tests, perfbench's
+# own checks, the race and fabric-chaos jobs (concurrent finalize, drain
+# and live-tail code under -race), golden, query-smoke and bench-check.
+# It leaves to CI the bench-smoke job and metrics-smoke, which boots a
+# live hbmrdd.
 ci:
 	gofmt -l . | (! grep .) || (echo "gofmt needed" && exit 1)
 	go vet ./...
 	go build ./...
 	go test -short ./...
 	cd perfbench && go vet ./... && go test ./...
+	$(MAKE) race
+	$(MAKE) fabric-chaos
 	$(MAKE) golden
 	$(MAKE) query-smoke
 	$(MAKE) bench-check

@@ -139,16 +139,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	// ResumeFrom doubles as a validator: on the finished file it reports
-	// the complete record count for the store metadata.
-	done, err := hbmrd.ResumeFrom(bytes.NewReader(resumed))
-	if err != nil {
-		return err
-	}
-	fp := done.Header.Fingerprint
-	if err := st.PutFile(hbmrd.SweepStoreMeta{
-		Fingerprint: fp, Kind: done.Header.Kind, Cells: done.Header.Cells, Records: done.Records(),
-	}, outPath); err != nil {
+	// The caller names the address and kind; the store reads the rest
+	// (cells, generation, record and byte counts) from the file itself.
+	fp := cp.Header.Fingerprint
+	if err := st.PutFile(hbmrd.SweepStoreMeta{Fingerprint: fp, Kind: cp.Header.Kind}, outPath); err != nil {
 		return err
 	}
 

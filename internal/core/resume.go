@@ -90,23 +90,30 @@ var ErrNoHeader = errors.New("core: stream has no sweep header")
 // decode of finished sweeps), so the two readers cannot drift.
 func readSweepHeader(br *bufio.Reader) (SweepHeader, int64, error) {
 	line, err := br.ReadBytes('\n')
-	if err != nil {
-		if err == io.EOF {
-			return SweepHeader{}, 0, ErrNoHeader
-		}
+	if err != nil && err != io.EOF {
 		return SweepHeader{}, 0, fmt.Errorf("core: reading sweep header: %w", err)
 	}
+	h, err := ParseSweepHeader(line)
+	return h, int64(len(line)), err
+}
+
+// ParseSweepHeader validates the first line of a sweep stream, its
+// terminating newline included: readSweepHeader's rule for callers that
+// see the line some other way (the store reads it while staging a
+// stream). A line without its newline is ErrNoHeader, as a stream that
+// ends inside its header is.
+func ParseSweepHeader(line []byte) (SweepHeader, error) {
 	var h SweepHeader
-	if err := json.Unmarshal(line, &h); err != nil || h.Format == 0 {
-		return SweepHeader{}, 0, ErrNoHeader
+	if len(line) == 0 || line[len(line)-1] != '\n' || json.Unmarshal(line, &h) != nil || h.Format == 0 {
+		return SweepHeader{}, ErrNoHeader
 	}
 	if h.Format != sweepFormat {
-		return SweepHeader{}, 0, fmt.Errorf("core: sweep file format %d, this build reads %d", h.Format, sweepFormat)
+		return SweepHeader{}, fmt.Errorf("core: sweep file format %d, this build reads %d", h.Format, sweepFormat)
 	}
 	if h.Fingerprint == "" {
-		return SweepHeader{}, 0, fmt.Errorf("core: sweep header has no fingerprint")
+		return SweepHeader{}, fmt.Errorf("core: sweep header has no fingerprint")
 	}
-	return h, int64(len(line)), nil
+	return h, nil
 }
 
 // ResumeFrom reads a partially written sweep stream - typically the JSONL

@@ -52,12 +52,6 @@ type Config struct {
 	// check, across all retries (0 = no bound; hbmrdd's -shard-timeout
 	// defaults to 2m).
 	ShardTimeout time.Duration
-	// QuarantineAfter is the consecutive-failure count that quarantines a
-	// worker (default 2); a quarantined worker rejoins when its /healthz
-	// answers again.
-	QuarantineAfter int
-	// ProbeTimeout bounds one /healthz probe (default 2s).
-	ProbeTimeout time.Duration
 	// Client issues all worker requests (default http.DefaultClient); the
 	// chaos tests plug a FaultInjector transport in here.
 	Client *http.Client
@@ -99,13 +93,6 @@ func New(cfg Config) (*Coordinator, error) {
 
 func (c *Coordinator) logf(format string, args ...any) {
 	c.cfg.Log.Infof(format, args...)
-}
-
-func (c *Coordinator) quarantineAfter() int {
-	if c.cfg.QuarantineAfter > 0 {
-		return c.cfg.QuarantineAfter
-	}
-	return 2
 }
 
 // splitPlan cuts cells into n contiguous near-equal ranges.
@@ -301,7 +288,7 @@ func (c *Coordinator) dispatch(ctx context.Context, sw *serve.Sweep, r serve.Sha
 		lastPeer = p.url
 		h, payload, rerr := c.runShard(actx, p, fp, specJSON)
 		if rerr != nil {
-			if p.fail(c.quarantineAfter()) {
+			if p.fail() {
 				mQuarantines.Inc()
 				c.logf("fabric: worker %s quarantined after consecutive failures", p.url)
 			}
@@ -400,9 +387,9 @@ func (c *Coordinator) runShard(ctx context.Context, p *peer, fp string, specJSON
 	if got := bytes.Count(payload, []byte("\n")); got != st.Records {
 		return zero, nil, fmt.Errorf("fabric: shard stream holds %d records, worker stored %d", got, st.Records)
 	}
-	// A worker resuming a spool that a crash left with a garbage tail
-	// streams that tail before the run rewrites it, at the same offsets,
-	// so the counts above can all match: each record must also be JSON.
+	// The body is network input, and a torn record can match every count
+	// above (a stream that carried a crash-torn spool tail later rewritten
+	// at the same offsets): each record must also be JSON.
 	for rest, n := payload, 0; len(rest) > 0; n++ {
 		var line []byte
 		line, rest, _ = bytes.Cut(rest, []byte("\n"))

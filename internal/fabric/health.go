@@ -9,6 +9,13 @@ import (
 	"time"
 )
 
+// quarantineAfter is the consecutive-failure count that quarantines a
+// worker; a quarantined worker rejoins when its /healthz answers again.
+const quarantineAfter = 2
+
+// probeTimeout bounds one /healthz probe.
+const probeTimeout = 2 * time.Second
+
 // peer is one hbmrdd worker in the pool, with its quarantine state:
 // consecutive failures quarantine it, and a successful /healthz probe
 // reinstates it.
@@ -22,11 +29,11 @@ type peer struct {
 
 // fail records one failure and reports whether this call newly
 // quarantined the peer (so the caller counts each transition once).
-func (p *peer) fail(after int) bool {
+func (p *peer) fail() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.fails++
-	if p.fails >= after && !p.quarantined {
+	if p.fails >= quarantineAfter && !p.quarantined {
 		p.quarantined = true
 		return true
 	}
@@ -60,7 +67,7 @@ type healthzReply struct {
 
 // probe asks a peer's /healthz whether it is alive, returning its reply.
 func (c *Coordinator) probe(ctx context.Context, p *peer) (healthzReply, error) {
-	pctx, cancel := context.WithTimeout(ctx, c.probeTimeout())
+	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, p.url+"/healthz", nil)
 	if err != nil {
@@ -82,13 +89,6 @@ func (c *Coordinator) probe(ctx context.Context, p *peer) (healthzReply, error) 
 		return healthzReply{}, fmt.Errorf("fabric: %s reports not ok", p.url)
 	}
 	return h, nil
-}
-
-func (c *Coordinator) probeTimeout() time.Duration {
-	if c.cfg.ProbeTimeout > 0 {
-		return c.cfg.ProbeTimeout
-	}
-	return 2 * time.Second
 }
 
 // acquire picks the next worker for a dispatch, round-robin over healthy

@@ -8,6 +8,14 @@ import (
 	"time"
 )
 
+// Backoff shape: each backoff doubles the last, and jitter randomizes up
+// to a fifth of it away (a delay d sleeps in [d*(1-jitter), d]), so a
+// fleet of coordinators retrying the same dead worker does not stampede it.
+const (
+	multiplier = 2
+	jitter     = 0.2
+)
+
 // Policy is the shared retry/backoff discipline every fabric network
 // operation runs under: capped exponential backoff with jitter, a
 // per-attempt deadline, and a bounded attempt count. The zero value takes
@@ -16,15 +24,9 @@ type Policy struct {
 	// MaxAttempts bounds tries per operation (default 4).
 	MaxAttempts int
 	// BaseDelay is the first backoff (default 50ms); each subsequent
-	// backoff multiplies by Multiplier (default 2) and caps at MaxDelay
-	// (default 2s).
-	BaseDelay  time.Duration
-	MaxDelay   time.Duration
-	Multiplier float64
-	// Jitter is the fraction of each backoff randomized away (default
-	// 0.2): a delay d sleeps in [d*(1-Jitter), d], so a fleet of
-	// coordinators retrying the same dead worker does not stampede it.
-	Jitter float64
+	// backoff doubles and caps at MaxDelay (default 2s).
+	BaseDelay time.Duration
+	MaxDelay  time.Duration
 	// AttemptTimeout is the per-attempt deadline (0 = none): each attempt
 	// runs under a context that expires after this long, so one hung
 	// worker cannot absorb the whole operation's budget.
@@ -40,12 +42,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = 2 * time.Second
-	}
-	if p.Multiplier < 1 {
-		p.Multiplier = 2
-	}
-	if p.Jitter < 0 || p.Jitter > 1 {
-		p.Jitter = 0.2
 	}
 	return p
 }
@@ -93,16 +89,13 @@ func (p Policy) Do(ctx context.Context, fn func(ctx context.Context) error) erro
 		if attempt >= p.MaxAttempts {
 			return fmt.Errorf("fabric: %d attempts exhausted: %w", p.MaxAttempts, lastErr)
 		}
-		d := delay
-		if p.Jitter > 0 {
-			d -= time.Duration(rand.Float64() * p.Jitter * float64(delay))
-		}
+		d := delay - time.Duration(rand.Float64()*jitter*float64(delay))
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-time.After(d):
 		}
-		delay = time.Duration(float64(delay) * p.Multiplier)
+		delay *= multiplier
 		if delay > p.MaxDelay {
 			delay = p.MaxDelay
 		}

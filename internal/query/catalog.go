@@ -52,26 +52,6 @@ func ByGeometry(preset string) Filter {
 	return func(m store.Meta) bool { return m.Geometry == preset }
 }
 
-// ByRanks keeps sweeps run on organizations with the given rank count per
-// pseudo channel. Sweeps stored before the rank dimension existed carry 0
-// and are treated as single-rank.
-func ByRanks(ranks int) Filter {
-	return func(m store.Meta) bool {
-		got := m.Ranks
-		if got == 0 {
-			got = 1
-		}
-		return got == ranks
-	}
-}
-
-// ByMinDataRate keeps sweeps whose geometry preset carries a per-pin data
-// rate of at least min Mbps. Hand-rolled presets record no rate and never
-// match.
-func ByMinDataRate(min int) Filter {
-	return func(m store.Meta) bool { return m.DataRateMbps >= min && m.DataRateMbps > 0 }
-}
-
 // ByChips keeps sweeps whose chip set is exactly the given indices
 // (order-insensitive).
 func ByChips(chips ...int) Filter {
@@ -136,18 +116,12 @@ func Ingest(s *store.Store, path string) (store.Meta, error) {
 	if err := core.VerifyComplete(h, recs); err != nil {
 		return store.Meta{}, fmt.Errorf("query: ingesting %s: %w (resume the sweep instead of ingesting it)", path, err)
 	}
-	meta := store.Meta{
-		Fingerprint: h.Fingerprint,
-		Kind:        h.Kind,
-		Cells:       h.Cells,
-		Generation:  h.Generation,
-	}
-	if err := s.PutFile(meta, path); err != nil {
+	if err := s.PutFile(store.Meta{Fingerprint: h.Fingerprint, Kind: h.Kind}, path); err != nil {
 		return store.Meta{}, err
 	}
-	// Read back the finalized metadata: Put computed Records and Bytes
+	// Read back the finalized metadata: Put filled it from the stream
 	// (and an identical earlier object may have won the finalize race).
-	_, stored, err := s.Path(meta.Fingerprint)
+	_, stored, err := s.Path(h.Fingerprint)
 	if err != nil {
 		return store.Meta{}, err
 	}

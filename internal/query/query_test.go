@@ -547,12 +547,12 @@ func TestCatalogFind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	content := func(fp string) string {
-		return `{"hbmrd_sweep":1,"kind":"ber","fingerprint":"` + fp + `","cells":1,"generation":1}` + "\n" + `{"Chip":0}` + "\n"
+	content := func(fp, kind string) string {
+		return `{"hbmrd_sweep":1,"kind":"` + kind + `","fingerprint":"` + fp + `","cells":1,"generation":1}` + "\n" + `{"Chip":0}` + "\n"
 	}
 	put := func(fp string, m store.Meta) {
-		m.Fingerprint, m.Cells = fp, 1
-		if err := st.Put(m, strings.NewReader(content(fp))); err != nil {
+		m.Fingerprint = fp
+		if err := st.Put(m, strings.NewReader(content(fp, m.Kind))); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -646,40 +646,3 @@ func TestServiceRecordsAndCatalog(t *testing.T) {
 		}
 	}
 }
-
-// TestSpoolHeader pins finalize's header read: an empty spool and a
-// spool that does not open with a sweep header are distinct errors, and
-// a header followed by a record line longer than 1 MiB still reads.
-func TestSpoolHeader(t *testing.T) {
-	t.Parallel()
-	header := `{"hbmrd_sweep":1,"kind":"ber","fingerprint":"sha256:ab","cells":3,"generation":7}` + "\n"
-	long := `{"Chip":0,"Pad":"` + strings.Repeat("x", 1<<20+17) + `"}` + "\n"
-	for _, tc := range []struct {
-		name, body, wantErr string
-	}{
-		{"empty", "", "empty spool"},
-		{"no header", `{"Chip":0,"Row":12}` + "\n", "has no sweep header"},
-		{"not json", "garbage\n", "has no sweep header"},
-		{"header then long record", header + long, ""},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "spool.jsonl")
-			if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			h, err := spoolHeader(path)
-			if tc.wantErr != "" {
-				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-					t.Fatalf("err = %v, want one containing %q", err, tc.wantErr)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if h.Format != 1 || h.Kind != "ber" || h.Fingerprint != "sha256:ab" || h.Cells != 3 || h.Generation != 7 {
-				t.Errorf("header = %+v", h)
-			}
-		})
-	}
-}

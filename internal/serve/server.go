@@ -44,6 +44,11 @@ type job struct {
 	// done is closed when the job reaches a terminal state for this
 	// enqueue (done, failed, or checkpointed).
 	done chan struct{}
+	// positioned is closed once a run has cut the spool back to its valid
+	// checkpoint prefix (or emptied it), so a live tail never streams the
+	// torn tail a crash left there.
+	positioned     chan struct{}
+	positionedOnce sync.Once
 }
 
 func (j *job) state() (string, string) {
@@ -337,7 +342,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// Terminal but not stored (failed or checkpointed): re-enqueue; a
 		// checkpointed spool resumes from its valid prefix.
 	}
-	j = &job{sweep: sweep, status: StatusQueued, done: make(chan struct{})}
+	j = &job{sweep: sweep, status: StatusQueued, done: make(chan struct{}), positioned: make(chan struct{})}
 	select {
 	case s.queue <- j:
 		s.jobs[fp] = j
@@ -505,26 +510,37 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, fp string)
 		}
 		return
 	}
+	// A spool on disk before its run positions it may end in a torn tail
+	// that the run rewrites, so it is opened only once positioned.
+	select {
+	case <-j.positioned:
+	case <-j.done:
+	case <-r.Context().Done():
+		return
+	}
+	var f *os.File
+	select {
+	case <-j.positioned:
+		f, _ = os.Open(s.spoolPath(fp))
+	default:
+	}
+	if f == nil {
+		// The job finished and was finalized (spool unlinked) before the
+		// tail opened it - serve the store copy - or it never ran here
+		// (distributed, or left queued by a drain).
+		if !s.serveStored(w, fp) {
+			http.Error(w, "sweep did not run", http.StatusServiceUnavailable)
+		}
+		return
+	}
+	defer f.Close()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
-	var f *os.File
-	defer func() {
-		if f != nil {
-			f.Close()
-		}
-	}()
 	// Tail the spool: emit whatever is on disk, flush, wait for growth.
 	// The writer emits whole lines per record, so the client always holds
 	// a valid NDJSON prefix. The open descriptor stays readable even after
 	// the finished spool is finalized into the store and unlinked.
 	emit := func() error {
-		if f == nil {
-			var err error
-			f, err = os.Open(s.spoolPath(fp))
-			if err != nil {
-				return nil // not spooled yet; keep waiting
-			}
-		}
 		if _, err := io.Copy(w, f); err != nil {
 			return err
 		}
@@ -539,16 +555,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, fp string)
 		}
 		select {
 		case <-j.done:
-			if err := emit(); err != nil { // drain the tail landed before done
-				return
-			}
-			// The spool never became visible to this tailer: either the
-			// job finished and was finalized (spool unlinked) before our
-			// first poll - serve the store copy - or it never ran at all
-			// (e.g. left queued by a drain).
-			if f == nil && !s.serveStored(w, fp) {
-				http.Error(w, "sweep did not run", http.StatusServiceUnavailable)
-			}
+			_ = emit() // drain the tail landed before done
 			return
 		case <-r.Context().Done():
 			return
@@ -688,20 +695,23 @@ func (s *Server) execute(j *job, spool string, allowResume bool) (runErr error, 
 	if s.jobsOpt > 0 {
 		opts = append(opts, core.WithJobs(s.jobsOpt))
 	}
+	// Cut the spool back to its valid checkpoint prefix (or empty it)
+	// before any live tail opens it: a crash can leave a torn tail the run
+	// would rewrite at the same offsets.
+	var valid int64
 	if allowResume {
 		if cp, err := core.ResumeFrom(f); err == nil {
 			opts = append(opts, core.WithResume(cp))
-			resumed = true
+			resumed, valid = true, cp.ValidBytes()
 			mSpoolResumes.Inc()
 			s.logf("serve: sweep %s resuming from %d checkpointed records", j.sweep.Fingerprint, cp.Records())
 		}
 	}
-	if !resumed {
-		if err := f.Truncate(0); err != nil {
-			f.Close()
-			return err, false
-		}
+	if err := f.Truncate(valid); err != nil {
+		f.Close()
+		return err, resumed
 	}
+	j.positionedOnce.Do(func() { close(j.positioned) })
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		f.Close()
 		return err, resumed
@@ -715,50 +725,22 @@ func (s *Server) execute(j *job, spool string, allowResume bool) (runErr error, 
 
 // finalize moves a completed spool into the store - stamped with the
 // sweep's catalog metadata (geometry, chip set, raw config) so the query
-// subsystem can filter on it - and removes the spool. Record and byte
-// counts are computed by the store while staging the copy.
+// subsystem can filter on it - and removes the spool. The store reads the
+// sweep's identity, lineage and size from the spool while staging it.
 func (s *Server) finalize(j *job, spool string) error {
-	header, err := spoolHeader(spool)
-	if err != nil {
-		return err
-	}
 	meta := store.Meta{
 		Fingerprint:  j.sweep.Fingerprint,
 		Kind:         string(j.sweep.Kind),
-		Cells:        header.Cells,
-		Generation:   header.Generation,
 		Geometry:     j.sweep.Geometry,
 		Ranks:        j.sweep.Ranks,
 		DataRateMbps: j.sweep.DataRateMbps,
 		Chips:        j.sweep.Chips,
-		Parent:       j.sweep.Parent,
-		ShardStart:   j.sweep.ShardStart,
-		ShardEnd:     j.sweep.ShardEnd,
 		Config:       j.sweep.Spec.Config,
 	}
 	if err := s.store.PutFile(meta, spool); err != nil {
 		return err
 	}
 	return os.Remove(spool)
-}
-
-// spoolHeader reads a completed spool's header line. The decoder reads
-// the first JSON value and stops, so a spool of any size costs one small
-// buffered read.
-func spoolHeader(path string) (core.SweepHeader, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return core.SweepHeader{}, err
-	}
-	defer f.Close()
-	var h core.SweepHeader
-	switch err := json.NewDecoder(f).Decode(&h); {
-	case errors.Is(err, io.EOF):
-		return core.SweepHeader{}, fmt.Errorf("serve: empty spool %s", path)
-	case err != nil || h.Format == 0:
-		return core.SweepHeader{}, fmt.Errorf("serve: spool %s has no sweep header", path)
-	}
-	return h, nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

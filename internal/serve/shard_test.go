@@ -330,3 +330,56 @@ func TestServiceStreamClientDisconnect(t *testing.T) {
 		t.Fatal("handler kept tailing after the client disconnected")
 	}
 }
+
+// TestLiveTailSkipsCrashTornSpool: a worker restarted after a crash can
+// hold a shard spool whose tail the file system zero-filled. A live tail
+// opened while the shard waits in the queue must not stream those bytes:
+// the run cuts the spool back to its valid prefix before any tail opens
+// it, so a plain client reads exactly the shard's reference bytes.
+func TestLiveTailSkipsCrashTornSpool(t *testing.T) {
+	spec := `{"kind":"ber","chips":[0],"identity_mapping":true,
+		"config":{"Channels":[0,1],"Rows":` + intsJSON(core.SampleRows(6)) + `,"Patterns":["Rowstripe0"],"Reps":1}}`
+	parent, err := Resolve(specValue(t, spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard, err := Resolve(specValue(t, shardSpec(t, spec, 0, parent.Cells)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, payload := runReference(t, shard)
+	want := append(append([]byte(nil), header...), payload...)
+	// Header and first record intact, then zeros where the second record
+	// starts: no newline is lost or gained.
+	rec := len(header) + bytes.IndexByte(payload, '\n') + 1
+	torn := append(append([]byte(nil), want[:rec]...), make([]byte, 8)...)
+
+	dir := t.TempDir()
+	srv, ts := newTestService(t, dir)
+	defer srv.Drain()
+	if err := os.WriteFile(srv.spoolPath(shard.Fingerprint), torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Hold the worker's only slot, so the shard waits in its queue while
+	// the tail is opened.
+	busy := `{"kind":"ber","chips":[0],"identity_mapping":true,
+		"config":{"Channels":[0,1,2,3],"Rows":` + intsJSON(core.SampleRows(48)) + `,"Patterns":["Rowstripe0","Checkered0"],"Reps":2}}`
+	postSpec(t, ts.URL, busy)
+	if got := postSpec(t, ts.URL, shardSpec(t, spec, 0, parent.Cells)); got.Status != StatusQueued {
+		t.Fatalf("shard submit status = %q, want %q behind the busy sweep", got.Status, StatusQueued)
+	}
+
+	resp, err := http.Get(ts.URL + "/sweeps/" + shard.Fingerprint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("live tail (%d bytes) diverges from the shard's reference bytes (%d bytes): zeros in the body: %v",
+			len(got), len(want), bytes.IndexByte(got, 0) >= 0)
+	}
+}

@@ -5,6 +5,13 @@
 // streams, a hit can be served instantly in place of re-running the sweep
 // - the durability layer under hbmrdd and any future batch tooling.
 //
+// Put is the one reader of what a finished stream says about itself.
+// While staging the JSONL it reads the header line through core's header
+// check and counts the records after it, so the sweep's identity and size
+// in meta.json always come from the stream. It refuses a stream that is
+// empty, has no valid sweep header, or names a fingerprint or kind other
+// than the address and kind it is stored under.
+//
 // Layout under the root:
 //
 //	objects/<aa>/<rest-of-fingerprint>/results.jsonl
@@ -16,7 +23,9 @@
 // Finalize is atomic: an object is staged under tmp/ and renamed into
 // objects/ in one step, so a crashed writer can never leave a half-object
 // at an address. Losing a race to another writer is success - the content
-// is identical by construction.
+// is identical by construction. Every file the store writes goes through
+// one whole-file writer; results.jsonl and results.hbmc are synced before
+// their rename, meta.json and derived entries are not.
 //
 // # Columnar twin
 //
@@ -26,15 +35,16 @@
 // therefore transcodes a whole sweep into a compact columnar twin
 // (results.hbmc, see core.EncodeColumnar: per-field typed arrays behind a
 // self-describing header) stored beside the JSONL under the same
-// fingerprint, and queries read only the twin. Shard objects (Meta.Parent
-// set) finalize without one: their coordinator reads only the JSONL, so a
-// shard gets its twin when it is first queried. The twin is derived data,
-// best-effort by design: a stream the transcoder cannot decode finalizes
-// without one, and EnsureColumnar rebuilds it from the JSONL for shard
-// objects, for objects finalized before the format existed, and for those
-// whose twin was dropped as corrupt (DropColumnar). GetColumnar refreshes
-// the object's LRU recency exactly as raw reads do, and Prune evicts and
-// accounts the twin together with its object.
+// fingerprint, and queries read only the twin. Shard objects (a Parent in
+// the header) finalize without one: their coordinator reads only the
+// JSONL, so a shard gets its twin when it is first queried. The twin is
+// derived data, best-effort by design: a stream whose records the
+// transcoder cannot decode finalizes without one, and EnsureColumnar
+// rebuilds it from the JSONL for shard objects, for objects finalized
+// before the format existed, and for those whose twin was dropped as
+// corrupt (DropColumnar). GetColumnar refreshes the object's LRU recency
+// exactly as raw reads do, and Prune evicts and accounts the twin together
+// with its object.
 package store
 
 import (
@@ -43,6 +53,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -50,6 +61,7 @@ import (
 	"time"
 
 	"hbmrd/internal/core"
+	"hbmrd/internal/telemetry"
 )
 
 // ErrNotFound reports a fingerprint with no finished sweep in the store.
@@ -61,22 +73,24 @@ var ErrNotFound = errors.New("store: sweep not found")
 // dropped). EnsureColumnar rebuilds it from the JSONL.
 var ErrNoColumnar = errors.New("store: sweep has no columnar artifact")
 
-// Meta describes one stored sweep. Fingerprint, Kind and Cells identify
-// the sweep; Records and Bytes size it (Put computes both from the stream
-// itself, so callers never re-scan the JSONL); the remaining fields are
-// optional catalog metadata a submitting service fills from its sweep
-// spec - sweeps ingested from bare JSONL files leave them empty.
+// Meta describes one stored sweep. Fingerprint and Kind are the address
+// the caller stores the sweep under; the stream's header must name both.
+// Put fills Cells, Generation, Parent, ShardStart and ShardEnd from that
+// header and Records and Bytes from the stream itself, overwriting
+// whatever the caller passed, so no caller parses or re-scans the JSONL.
+// The remaining fields are optional catalog metadata a submitting service
+// fills from its sweep spec - sweeps ingested from bare JSONL files leave
+// them empty.
 type Meta struct {
 	// Fingerprint is the sweep's content address.
 	Fingerprint string `json:"fingerprint"`
 	// Kind is the experiment kind ("ber", "hcfirst", ...).
 	Kind string `json:"kind"`
-	// Cells is the sweep's plan cell count.
+	// Cells is the stream's plan cell count (from the header).
 	Cells int `json:"cells"`
 	// Records is the number of record lines (excluding the header).
-	// Computed by Put while staging the stream.
 	Records int `json:"records"`
-	// Bytes is the size of results.jsonl. Computed by Put.
+	// Bytes is the size of results.jsonl.
 	Bytes int64 `json:"bytes"`
 	// Generation is the producer's core.CodeGeneration (from the header).
 	Generation int `json:"generation,omitempty"`
@@ -92,10 +106,11 @@ type Meta struct {
 	// Chips are the study chip indices of the sweep's fleet.
 	Chips []int `json:"chips,omitempty"`
 	// Parent is the full sweep's fingerprint when this object is a shard
-	// produced by the distributed fabric; empty for whole sweeps.
+	// produced by the distributed fabric; empty for whole sweeps (from the
+	// header).
 	Parent string `json:"parent,omitempty"`
 	// ShardStart and ShardEnd bound the parent-plan cell range
-	// [ShardStart, ShardEnd) a shard object covers.
+	// [ShardStart, ShardEnd) a shard object covers (from the header).
 	ShardStart int `json:"shard_start,omitempty"`
 	ShardEnd   int `json:"shard_end,omitempty"`
 	// Config is the sweep's raw runner config as submitted (canonical
@@ -150,6 +165,44 @@ func (s *Store) objectDir(fingerprint string) (string, error) {
 	return filepath.Join(s.root, "objects", hex[:2], hex[2:]), nil
 }
 
+// object resolves a fingerprint to its object directory and parsed
+// metadata. Returns ErrNotFound when the fingerprint has no finished
+// sweep.
+func (s *Store) object(fingerprint string) (string, *Meta, error) {
+	dir, err := s.objectDir(fingerprint)
+	if err != nil {
+		return "", nil, err
+	}
+	meta, err := readMeta(filepath.Join(dir, "meta.json"))
+	if os.IsNotExist(err) {
+		return "", nil, ErrNotFound
+	}
+	if err != nil {
+		return "", nil, err
+	}
+	return dir, meta, nil
+}
+
+// open resolves a fingerprint and opens one file of its object, counting
+// the read in reads and refreshing the object's LRU recency; missing is
+// the error for an object without that file.
+func (s *Store) open(fingerprint, name string, missing error, reads *telemetry.Counter) (io.ReadCloser, *Meta, error) {
+	dir, meta, err := s.object(fingerprint)
+	if err != nil {
+		return nil, nil, err
+	}
+	f, err := os.Open(filepath.Join(dir, name))
+	if os.IsNotExist(err) {
+		return nil, nil, missing
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	touch(filepath.Join(dir, "meta.json"))
+	reads.Inc()
+	return f, meta, nil
+}
+
 // Has reports whether a finished sweep is stored at the fingerprint.
 func (s *Store) Has(fingerprint string) bool {
 	dir, err := s.objectDir(fingerprint)
@@ -164,42 +217,15 @@ func (s *Store) Has(fingerprint string) bool {
 // metadata. The caller closes the reader. Returns ErrNotFound when the
 // fingerprint has no finished sweep.
 func (s *Store) Get(fingerprint string) (io.ReadCloser, *Meta, error) {
-	dir, err := s.objectDir(fingerprint)
-	if err != nil {
-		return nil, nil, err
-	}
-	meta, err := readMeta(filepath.Join(dir, "meta.json"))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil, ErrNotFound
-		}
-		return nil, nil, err
-	}
-	f, err := os.Open(filepath.Join(dir, "results.jsonl"))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil, ErrNotFound
-		}
-		return nil, nil, err
-	}
-	touch(filepath.Join(dir, "meta.json"))
-	mReadsJSONL.Inc()
-	return f, meta, nil
+	return s.open(fingerprint, "results.jsonl", ErrNotFound, mReadsJSONL)
 }
 
 // Path returns the on-disk path of the stored record stream, for callers
 // that serve the file directly (http.ServeFile). Returns ErrNotFound when
 // absent.
 func (s *Store) Path(fingerprint string) (string, *Meta, error) {
-	dir, err := s.objectDir(fingerprint)
+	dir, meta, err := s.object(fingerprint)
 	if err != nil {
-		return "", nil, err
-	}
-	meta, err := readMeta(filepath.Join(dir, "meta.json"))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return "", nil, ErrNotFound
-		}
 		return "", nil, err
 	}
 	touch(filepath.Join(dir, "meta.json"))
@@ -219,7 +245,9 @@ func touch(path string) {
 // copying it into a staging object and atomically renaming the object
 // into place. The source file is left untouched. If the fingerprint is
 // already stored, the existing object wins (identical content) and the
-// staged copy is discarded.
+// staged copy is discarded. A file that is empty, has no sweep header,
+// or whose header names another fingerprint or kind than meta is
+// refused; see Meta for the fields taken from the file.
 func (s *Store) PutFile(meta Meta, path string) error {
 	src, err := os.Open(path)
 	if err != nil {
@@ -249,42 +277,30 @@ func (s *Store) put(meta Meta, r io.Reader) error {
 	}
 	defer os.RemoveAll(stage)
 
-	dst, err := os.Create(filepath.Join(stage, "results.jsonl"))
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	// Size the sweep while staging it: every line past the header is one
-	// record, so callers never have to re-scan the stored JSONL.
-	var lc lineCounter
-	n, err := io.Copy(dst, io.TeeReader(r, &lc))
-	if err == nil {
-		err = dst.Sync()
-	}
-	if cerr := dst.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	var tap streamTap
+	if _, err := writeFile(stage, "results.jsonl", true, func(w io.Writer) error {
+		_, err := io.Copy(w, io.TeeReader(r, &tap))
+		return err
+	}); err != nil {
 		return fmt.Errorf("store: staging %s: %w", meta.Fingerprint, err)
 	}
-	meta.Bytes = n
-	meta.Records = 0
-	if lc.lines > 0 {
-		meta.Records = lc.lines - 1
+	if err := tap.stamp(&meta); err != nil {
+		return fmt.Errorf("store: refusing %s: %w", meta.Fingerprint, err)
 	}
 
 	// Transcode the staged stream into its columnar twin. Best-effort: a
-	// stream the decoder rejects (not a sweep, unknown kind) finalizes
-	// without one, and a query over it fails its rebuild the same way. A
-	// shard object skips it; its first query builds the twin.
+	// stream whose records the decoder rejects finalizes without one, and
+	// a query over it fails its rebuild the same way. A shard object
+	// skips it; its first query builds the twin.
 	if meta.Parent == "" {
-		_ = transcodeColumnar(filepath.Join(stage, "results.jsonl"), filepath.Join(stage, "results.hbmc"))
+		_, _ = writeFile(stage, "results.hbmc", true, transcode(filepath.Join(stage, "results.jsonl")))
 	}
 
 	mb, err := json.MarshalIndent(meta, "", "  ")
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if err := os.WriteFile(filepath.Join(stage, "meta.json"), append(mb, '\n'), 0o644); err != nil {
+	if _, err := writeFile(stage, "meta.json", false, bytesOf(append(mb, '\n'))); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 
@@ -299,38 +315,119 @@ func (s *Store) put(meta Meta, r io.Reader) error {
 		return fmt.Errorf("store: finalizing %s: %w", meta.Fingerprint, err)
 	}
 	mPuts.Inc()
-	mPutBytes.Add(n)
+	mPutBytes.Add(meta.Bytes)
 	return nil
 }
 
-// transcodeColumnar decodes the sweep JSONL at src and writes its
-// columnar twin to dst (written whole, then synced - callers either stage
-// inside a not-yet-visible object or rename into place themselves).
-func transcodeColumnar(src, dst string) error {
-	f, err := os.Open(src)
+// streamTap watches a stream while put stages it: it keeps the header
+// line and counts newline-terminated lines and bytes.
+type streamTap struct {
+	header []byte
+	lines  int
+	bytes  int64
+}
+
+func (t *streamTap) Write(p []byte) (int, error) {
+	if t.lines == 0 {
+		line := p
+		if i := bytes.IndexByte(p, '\n'); i >= 0 {
+			line = p[:i+1]
+		}
+		t.header = append(t.header, line...)
+	}
+	t.lines += bytes.Count(p, []byte{'\n'})
+	t.bytes += int64(len(p))
+	return len(p), nil
+}
+
+// stamp fills meta with what the stream says about itself - the header's
+// identity and lineage, the record and byte counts - and refuses a stream
+// that is empty, has no valid sweep header, or is not the sweep meta
+// addresses.
+func (t *streamTap) stamp(meta *Meta) error {
+	if t.bytes == 0 {
+		return errors.New("empty stream")
+	}
+	h, err := core.ParseSweepHeader(t.header)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	h, recs, err := core.DecodeRecords("", f)
+	if h.Fingerprint != meta.Fingerprint || h.Kind != meta.Kind {
+		return fmt.Errorf("stream holds %s sweep %s, not %s sweep %s", h.Kind, h.Fingerprint, meta.Kind, meta.Fingerprint)
+	}
+	meta.Cells, meta.Generation = h.Cells, h.Generation
+	meta.Parent, meta.ShardStart, meta.ShardEnd = h.Parent, h.ShardStart, h.ShardEnd
+	meta.Records, meta.Bytes = t.lines-1, t.bytes
+	return nil
+}
+
+// writeFile writes one whole file in dir through fill, syncs it when sync
+// is set, closes it, and removes it on any failure. name is the file's
+// name, or an os.CreateTemp pattern when it holds a '*'. It returns the
+// file's path.
+func writeFile(dir, name string, sync bool, fill func(io.Writer) error) (string, error) {
+	var f *os.File
+	var err error
+	if strings.Contains(name, "*") {
+		f, err = os.CreateTemp(dir, name)
+	} else {
+		f, err = os.Create(filepath.Join(dir, name))
+	}
 	if err != nil {
-		return err
+		return "", err
 	}
-	out, err := os.Create(dst)
-	if err != nil {
-		return err
+	err = fill(f)
+	if err == nil && sync {
+		err = f.Sync()
 	}
-	err = core.EncodeColumnar(out, h, recs)
-	if serr := out.Sync(); err == nil {
-		err = serr
-	}
-	if cerr := out.Close(); err == nil {
+	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
-		os.Remove(dst)
+		os.Remove(f.Name())
+		return "", err
 	}
-	return err
+	return f.Name(), nil
+}
+
+// bytesOf is a writeFile fill that writes b.
+func bytesOf(b []byte) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := w.Write(b)
+		return err
+	}
+}
+
+// transcode is a writeFile fill that writes the columnar twin of the
+// sweep JSONL at src.
+func transcode(src string) func(io.Writer) error {
+	return func(w io.Writer) error {
+		f, err := os.Open(src)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		h, recs, err := core.DecodeRecords("", f)
+		if err != nil {
+			return err
+		}
+		return core.EncodeColumnar(w, h, recs)
+	}
+}
+
+// replaceFile writes a whole file under tmp/ (named by an os.CreateTemp
+// pattern) and renames it to path, so a reader of path never sees it
+// half-written.
+func (s *Store) replaceFile(path, pattern string, sync bool, fill func(io.Writer) error) error {
+	stage, err := writeFile(filepath.Join(s.root, "tmp"), pattern, sync, fill)
+	if err != nil {
+		return err
+	}
+	if err := os.Rename(stage, path); err != nil {
+		os.Remove(stage)
+		return err
+	}
+	return nil
 }
 
 // GetColumnar opens the stored sweep's columnar twin and its metadata.
@@ -339,27 +436,7 @@ func transcodeColumnar(src, dst string) error {
 // carries no twin (EnsureColumnar rebuilds it). A columnar hit refreshes
 // the object's LRU recency just like a raw read.
 func (s *Store) GetColumnar(fingerprint string) (io.ReadCloser, *Meta, error) {
-	dir, err := s.objectDir(fingerprint)
-	if err != nil {
-		return nil, nil, err
-	}
-	meta, err := readMeta(filepath.Join(dir, "meta.json"))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil, ErrNotFound
-		}
-		return nil, nil, err
-	}
-	f, err := os.Open(filepath.Join(dir, "results.hbmc"))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil, fmt.Errorf("%w: %s", ErrNoColumnar, fingerprint)
-		}
-		return nil, nil, err
-	}
-	touch(filepath.Join(dir, "meta.json"))
-	mReadsColumnar.Inc()
-	return f, meta, nil
+	return s.open(fingerprint, "results.hbmc", fmt.Errorf("%w: %s", ErrNoColumnar, fingerprint), mReadsColumnar)
 }
 
 // HasColumnar reports whether the stored sweep carries a columnar twin.
@@ -375,39 +452,21 @@ func (s *Store) HasColumnar(fingerprint string) bool {
 // EnsureColumnar backfills the columnar twin of an already-finalized
 // sweep - the lazy migration path for stores populated before the format
 // existed, and the rebuild after DropColumnar. Idempotent: a present twin
-// is left untouched. The twin is
-// staged under tmp/ and renamed into the object, so concurrent callers
-// race safely (identical content by construction) and a crash leaves no
-// half-written artifact. Returns ErrNotFound when the fingerprint has no
-// finished sweep.
+// is left untouched. The twin is staged under tmp/ and renamed into the
+// object, so concurrent callers race safely (identical content by
+// construction) and a crash leaves no half-written artifact. Returns
+// ErrNotFound when the fingerprint has no finished sweep.
 func (s *Store) EnsureColumnar(fingerprint string) error {
-	dir, err := s.objectDir(fingerprint)
+	dir, _, err := s.object(fingerprint)
 	if err != nil {
-		return err
-	}
-	if _, err := os.Stat(filepath.Join(dir, "meta.json")); err != nil {
-		if os.IsNotExist(err) {
-			return ErrNotFound
-		}
 		return err
 	}
 	dst := filepath.Join(dir, "results.hbmc")
 	if _, err := os.Stat(dst); err == nil {
 		return nil
 	}
-	stage, err := os.CreateTemp(filepath.Join(s.root, "tmp"), "columnar-*")
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	stagePath := stage.Name()
-	stage.Close()
-	if err := transcodeColumnar(filepath.Join(dir, "results.jsonl"), stagePath); err != nil {
-		os.Remove(stagePath)
+	if err := s.replaceFile(dst, "columnar-*", true, transcode(filepath.Join(dir, "results.jsonl"))); err != nil {
 		return fmt.Errorf("store: transcoding %s: %w", fingerprint, err)
-	}
-	if err := os.Rename(stagePath, dst); err != nil {
-		os.Remove(stagePath)
-		return fmt.Errorf("store: backfilling %s: %w", fingerprint, err)
 	}
 	mBackfills.Inc()
 	return nil
@@ -419,14 +478,8 @@ func (s *Store) EnsureColumnar(fingerprint string) error {
 // fresh twin from the JSONL. A missing twin is success; returns
 // ErrNotFound when the fingerprint has no finished sweep at all.
 func (s *Store) DropColumnar(fingerprint string) error {
-	dir, err := s.objectDir(fingerprint)
+	dir, _, err := s.object(fingerprint)
 	if err != nil {
-		return err
-	}
-	if _, err := os.Stat(filepath.Join(dir, "meta.json")); err != nil {
-		if os.IsNotExist(err) {
-			return ErrNotFound
-		}
 		return err
 	}
 	if err := os.Remove(filepath.Join(dir, "results.hbmc")); err != nil && !os.IsNotExist(err) {
@@ -436,28 +489,41 @@ func (s *Store) DropColumnar(fingerprint string) error {
 	return nil
 }
 
-// List returns the metadata of every stored sweep, sorted by fingerprint.
-func (s *Store) List() ([]Meta, error) {
-	var out []Meta
-	shards, err := os.ReadDir(filepath.Join(s.root, "objects"))
+// walk calls visit with the path of every entry two levels under the
+// store subtree sub: each object directory under objects/, each derived
+// result under derived/.
+func (s *Store) walk(sub string, visit func(path string)) error {
+	top := filepath.Join(s.root, sub)
+	shards, err := os.ReadDir(top)
 	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+		return fmt.Errorf("store: %w", err)
 	}
 	for _, shard := range shards {
 		if !shard.IsDir() {
 			continue
 		}
-		objs, err := os.ReadDir(filepath.Join(s.root, "objects", shard.Name()))
+		ents, err := os.ReadDir(filepath.Join(top, shard.Name()))
 		if err != nil {
-			return nil, fmt.Errorf("store: %w", err)
+			return fmt.Errorf("store: %w", err)
 		}
-		for _, obj := range objs {
-			meta, err := readMeta(filepath.Join(s.root, "objects", shard.Name(), obj.Name(), "meta.json"))
-			if err != nil {
-				continue // half-visible entry; skip rather than fail the listing
-			}
+		for _, e := range ents {
+			visit(filepath.Join(top, shard.Name(), e.Name()))
+		}
+	}
+	return nil
+}
+
+// List returns the metadata of every stored sweep, sorted by fingerprint.
+func (s *Store) List() ([]Meta, error) {
+	var out []Meta
+	err := s.walk("objects", func(dir string) {
+		// A half-visible entry is skipped rather than failing the listing.
+		if meta, err := readMeta(filepath.Join(dir, "meta.json")); err == nil {
 			out = append(out, *meta)
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Fingerprint < out[j].Fingerprint })
 	return out, nil
@@ -467,30 +533,9 @@ func (s *Store) List() ([]Meta, error) {
 // object directories without opening any metadata - cheap enough for a
 // liveness probe to call on every poll.
 func (s *Store) Count() (int, error) {
-	shards, err := os.ReadDir(filepath.Join(s.root, "objects"))
-	if err != nil {
-		return 0, fmt.Errorf("store: %w", err)
-	}
 	n := 0
-	for _, shard := range shards {
-		if !shard.IsDir() {
-			continue
-		}
-		objs, err := os.ReadDir(filepath.Join(s.root, "objects", shard.Name()))
-		if err != nil {
-			return 0, fmt.Errorf("store: %w", err)
-		}
-		n += len(objs)
-	}
-	return n, nil
-}
-
-// lineCounter counts newline-terminated lines flowing through a write.
-type lineCounter struct{ lines int }
-
-func (c *lineCounter) Write(p []byte) (int, error) {
-	c.lines += bytes.Count(p, []byte{'\n'})
-	return len(p), nil
+	err := s.walk("objects", func(string) { n++ })
+	return n, err
 }
 
 // GetDerived returns a cached derived result (an aggregate computed from a
@@ -528,21 +573,8 @@ func (s *Store) PutDerived(key string, data []byte) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	stage, err := os.CreateTemp(filepath.Join(s.root, "tmp"), "derived-*")
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	_, werr := stage.Write(data)
-	if cerr := stage.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(stage.Name())
-		return fmt.Errorf("store: staging derived %s: %w", key, werr)
-	}
-	if err := os.Rename(stage.Name(), path); err != nil {
-		os.Remove(stage.Name())
-		return fmt.Errorf("store: finalizing derived %s: %w", key, err)
+	if err := s.replaceFile(path, "derived-*", false, bytesOf(data)); err != nil {
+		return fmt.Errorf("store: caching derived %s: %w", key, err)
 	}
 	mDerivedPuts.Inc()
 	return nil
@@ -561,7 +593,6 @@ func (s *Store) derivedPath(key string) (string, error) {
 // ranked by.
 type pruneEntry struct {
 	path     string // object dir, or derived file
-	isObject bool
 	bytes    int64
 	accessed time.Time
 }
@@ -580,59 +611,33 @@ func (s *Store) Prune(keepBytes int64) (removed int, err error) {
 	var entries []pruneEntry
 	var total int64
 
-	shards, err := os.ReadDir(filepath.Join(s.root, "objects"))
-	if err != nil {
-		return 0, fmt.Errorf("store: %w", err)
-	}
-	for _, shard := range shards {
-		if !shard.IsDir() {
-			continue
-		}
-		shardDir := filepath.Join(s.root, "objects", shard.Name())
-		objs, err := os.ReadDir(shardDir)
+	err = s.walk("objects", func(dir string) {
+		metaInfo, err := os.Stat(filepath.Join(dir, "meta.json"))
 		if err != nil {
-			return 0, fmt.Errorf("store: %w", err)
+			return // half-visible entry; skip, as List does
 		}
-		for _, obj := range objs {
-			dir := filepath.Join(shardDir, obj.Name())
-			metaInfo, err := os.Stat(filepath.Join(dir, "meta.json"))
-			if err != nil {
-				continue // half-visible entry; skip, as List does
-			}
-			var size int64
-			if files, err := os.ReadDir(dir); err == nil {
-				for _, f := range files {
-					if fi, err := f.Info(); err == nil {
-						size += fi.Size()
-					}
+		var size int64
+		if files, err := os.ReadDir(dir); err == nil {
+			for _, f := range files {
+				if fi, err := f.Info(); err == nil {
+					size += fi.Size()
 				}
 			}
-			entries = append(entries, pruneEntry{path: dir, isObject: true, bytes: size, accessed: metaInfo.ModTime()})
-			total += size
 		}
+		entries = append(entries, pruneEntry{path: dir, bytes: size, accessed: metaInfo.ModTime()})
+		total += size
+	})
+	if err != nil {
+		return 0, err
 	}
-
-	derivedShards, err := os.ReadDir(filepath.Join(s.root, "derived"))
-	if err != nil && !os.IsNotExist(err) {
-		return 0, fmt.Errorf("store: %w", err)
-	}
-	for _, shard := range derivedShards {
-		if !shard.IsDir() {
-			continue
-		}
-		shardDir := filepath.Join(s.root, "derived", shard.Name())
-		files, err := os.ReadDir(shardDir)
-		if err != nil {
-			return 0, fmt.Errorf("store: %w", err)
-		}
-		for _, f := range files {
-			fi, err := f.Info()
-			if err != nil {
-				continue
-			}
-			entries = append(entries, pruneEntry{path: filepath.Join(shardDir, f.Name()), bytes: fi.Size(), accessed: fi.ModTime()})
+	err = s.walk("derived", func(path string) {
+		if fi, err := os.Stat(path); err == nil {
+			entries = append(entries, pruneEntry{path: path, bytes: fi.Size(), accessed: fi.ModTime()})
 			total += fi.Size()
 		}
+	})
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return 0, err
 	}
 
 	// Oldest access first; ties break on path so eviction is deterministic.
@@ -646,12 +651,7 @@ func (s *Store) Prune(keepBytes int64) (removed int, err error) {
 		if total <= keepBytes {
 			break
 		}
-		if e.isObject {
-			err = os.RemoveAll(e.path)
-		} else {
-			err = os.Remove(e.path)
-		}
-		if err != nil && !os.IsNotExist(err) {
+		if err := os.RemoveAll(e.path); err != nil {
 			return removed, fmt.Errorf("store: pruning %s: %w", e.path, err)
 		}
 		removed++

@@ -178,6 +178,72 @@ func TestStorePutCountsRecords(t *testing.T) {
 	}
 }
 
+// TestStorePutReadsStream: Put is the one reader of what a stream says
+// about itself. It fills the header's identity and lineage and the stream's
+// record and byte counts over whatever the caller passed, reads a header
+// followed by a record line longer than 1 MiB, and refuses an empty
+// stream, one without a sweep header, and one whose header names another
+// fingerprint or kind than the address it is stored under - leaving no
+// object and no staging debris behind.
+func TestStorePutReadsStream(t *testing.T) {
+	t.Parallel()
+	header := func(fp, kind, lineage string) string {
+		return `{"hbmrd_sweep":1,"kind":"` + kind + `","fingerprint":"` + fp + `","cells":3,"generation":7` + lineage + "}\n"
+	}
+	otherFP := "sha256:abababababababababababababababababababababababababababababababab"
+	long := `{"Chip":0,"Pad":"` + strings.Repeat("x", 1<<20+17) + `"}` + "\n"
+	for _, tc := range []struct {
+		name, body, wantErr string
+		want                Meta
+	}{
+		{name: "empty", body: "", wantErr: "empty stream"},
+		{name: "no header", body: `{"Chip":0,"Row":12}` + "\n", wantErr: core.ErrNoHeader.Error()},
+		{name: "not json", body: "garbage\n", wantErr: core.ErrNoHeader.Error()},
+		{name: "header without newline", body: strings.TrimSuffix(header(testFP, "ber", ""), "\n"), wantErr: core.ErrNoHeader.Error()},
+		{name: "other fingerprint", body: header(otherFP, "ber", "") + `{"Chip":0}` + "\n", wantErr: "not ber sweep " + testFP},
+		{name: "other kind", body: header(testFP, "hcfirst", "") + `{"Chip":0}` + "\n", wantErr: "holds hcfirst sweep"},
+		{name: "header then long record", body: header(testFP, "ber", "") + long,
+			want: Meta{Cells: 3, Generation: 7, Records: 1}},
+		{name: "shard lineage", body: header(testFP, "ber", `,"parent":"`+otherFP+`","shard_start":4,"shard_end":7`) + `{"Chip":0}` + "\n" + `{"Chip":1}` + "\n",
+			want: Meta{Cells: 3, Generation: 7, Records: 2, Parent: otherFP, ShardStart: 4, ShardEnd: 7}},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			s := openTestStore(t)
+			// Deliberately wrong header fields from the caller: Put must
+			// take every one of them from the stream.
+			meta := Meta{Fingerprint: testFP, Kind: "ber", Cells: 99, Generation: 99, Records: 99, Bytes: 1, Parent: otherFP, ShardStart: 1, ShardEnd: 2}
+			err := s.Put(meta, strings.NewReader(tc.body))
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("err = %v, want one containing %q", err, tc.wantErr)
+				}
+				if s.Has(testFP) {
+					t.Error("refused stream was stored")
+				}
+				if ents, err := os.ReadDir(filepath.Join(s.Root(), "tmp")); err != nil || len(ents) != 0 {
+					t.Errorf("refused put left %d staging entries (err %v)", len(ents), err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, got, err := s.Path(testFP)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := tc.want
+			want.Fingerprint, want.Kind, want.Bytes = testFP, "ber", int64(len(tc.body))
+			if got.Cells != want.Cells || got.Generation != want.Generation || got.Records != want.Records ||
+				got.Bytes != want.Bytes || got.Parent != want.Parent || got.ShardStart != want.ShardStart || got.ShardEnd != want.ShardEnd {
+				t.Errorf("meta = %+v, want %+v", *got, want)
+			}
+		})
+	}
+}
+
 // TestStoreCatalogMetaRoundTrips: the optional catalog fields (geometry,
 // chips, generation, raw config) persist through Put and List.
 func TestStoreCatalogMetaRoundTrips(t *testing.T) {
@@ -343,9 +409,9 @@ func TestStorePruneLRU(t *testing.T) {
 
 // TestStoreColumnarTwin: Put transcodes the finalized stream into a
 // columnar twin under the same fingerprint; GetColumnar serves it and
-// decodes back to the exact records of the JSONL; a shard object and a
-// junk stream (not a sweep) finalize without a twin and GetColumnar
-// reports ErrNoColumnar.
+// decodes back to the exact records of the JSONL; a shard stream and a
+// stream with an undecodable record finalize without a twin and
+// GetColumnar reports ErrNoColumnar.
 func TestStoreColumnarTwin(t *testing.T) {
 	t.Parallel()
 	s := openTestStore(t)
@@ -362,7 +428,7 @@ func TestStoreColumnarTwin(t *testing.T) {
 	if err := core.EncodeRecords(&canon, hdr, recs); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(Meta{Fingerprint: testFP, Kind: "ber", Cells: 2}, bytes.NewReader(canon.Bytes())); err != nil {
+	if err := s.Put(Meta{Fingerprint: testFP, Kind: "ber"}, bytes.NewReader(canon.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	if !s.HasColumnar(testFP) {
@@ -395,11 +461,20 @@ func TestStoreColumnarTwin(t *testing.T) {
 		t.Error("columnar twin does not re-encode to the stored JSONL")
 	}
 
-	// A shard object (Parent set) finalizes without a twin; the first
-	// query of it builds one through EnsureColumnar.
-	shardFP := "sha256:8888888888888888888888888888888888888888888888888888888888888888"
-	if err := s.Put(Meta{Fingerprint: shardFP, Kind: "ber", Cells: 2, Parent: testFP}, bytes.NewReader(canon.Bytes())); err != nil {
+	// A shard object (lineage in its header) finalizes without a twin; the
+	// first query of it builds one through EnsureColumnar.
+	shardFP := core.ShardFingerprint(testFP, 0, 2)
+	shardHdr := hdr
+	shardHdr.Fingerprint, shardHdr.Parent, shardHdr.ShardStart, shardHdr.ShardEnd = shardFP, testFP, 0, 2
+	var shard bytes.Buffer
+	if err := core.EncodeRecords(&shard, shardHdr, recs); err != nil {
 		t.Fatal(err)
+	}
+	if err := s.Put(Meta{Fingerprint: shardFP, Kind: "ber"}, bytes.NewReader(shard.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if _, meta, err := s.Path(shardFP); err != nil || meta.Parent != testFP || meta.ShardStart != 0 || meta.ShardEnd != 2 {
+		t.Errorf("shard object meta = %+v (err %v), want the header's lineage", meta, err)
 	}
 	if _, _, err := s.GetColumnar(shardFP); !errors.Is(err, ErrNoColumnar) {
 		t.Errorf("GetColumnar on a fresh shard object: %v, want ErrNoColumnar", err)
@@ -408,17 +483,22 @@ func TestStoreColumnarTwin(t *testing.T) {
 		t.Errorf("EnsureColumnar left the shard object without a twin (err %v)", err)
 	}
 
-	// Junk content finalizes (the store is format-agnostic about its
-	// payload) but gets no twin.
+	// A stream with a valid header but a record the decoder rejects
+	// finalizes without a twin; one with no header is refused.
 	junkFP := "sha256:9999999999999999999999999999999999999999999999999999999999999999"
-	if err := s.Put(Meta{Fingerprint: junkFP, Kind: "mystery", Cells: 1}, strings.NewReader("not a sweep\n")); err != nil {
+	junk := `{"hbmrd_sweep":1,"kind":"ber","fingerprint":"` + junkFP + `","cells":1,"generation":1}` + "\n" + `{"NoSuchField":1}` + "\n"
+	if err := s.Put(Meta{Fingerprint: junkFP, Kind: "ber"}, strings.NewReader(junk)); err != nil {
 		t.Fatal(err)
 	}
 	if s.HasColumnar(junkFP) {
-		t.Error("junk stream grew a columnar twin")
+		t.Error("undecodable stream grew a columnar twin")
 	}
 	if _, _, err := s.GetColumnar(junkFP); !errors.Is(err, ErrNoColumnar) {
 		t.Errorf("GetColumnar on twin-less object: %v, want ErrNoColumnar", err)
+	}
+	bareFP := "sha256:7777777777777777777777777777777777777777777777777777777777777777"
+	if err := s.Put(Meta{Fingerprint: bareFP, Kind: "ber"}, strings.NewReader("not a sweep\n")); err == nil || s.Has(bareFP) {
+		t.Errorf("header-less stream stored (err %v)", err)
 	}
 	if _, _, err := s.GetColumnar("sha256:" + strings.Repeat("ab", 32)); !errors.Is(err, ErrNotFound) {
 		t.Errorf("GetColumnar on absent object: %v, want ErrNotFound", err)
